@@ -10,7 +10,6 @@ from .core import (
     EvaluationError,
     Evaluation,
     Problem,
-    critical_oracle,
     dominates,
     evaluate,
 )
@@ -21,7 +20,6 @@ from .descent import (
     SegmentKind,
     Termination,
     TraceRecord,
-    armijo_holds,
     backtrack,
     classify_subsequences,
     run_mgd,
@@ -31,13 +29,8 @@ from .direction import (
     DirectionConfig,
     DirectionResult,
     DirectionVariant,
-    build_lp_base,
-    build_lp_new,
-    gamma,
-    normalize_rows,
     solve_blockwise,
     solve_direction,
-    sum_gradient,
 )
 from .harness import (
     ExperimentConfig,
@@ -50,13 +43,10 @@ from .lp import (
     LpResult,
     LpSpec,
     LpStatus,
-    OracleInfeasible,
     SolverFailure,
-    enumerate_vertices_oracle,
     solve_lp,
 )
 from .metrics import (
-    RunOutputSet,
     critical_region_scan,
     global_pareto_ratio,
     nondominated_filter,
@@ -65,7 +55,6 @@ from .metrics import (
 from .problems import (
     PROBLEMS,
     StartSampler,
-    finite_difference_jacobian,
     fonseca_fleming,
     get_problem,
     kursawe,
@@ -89,10 +78,8 @@ __all__ = [
     "LpResult",
     "LpSpec",
     "LpStatus",
-    "OracleInfeasible",
     "PROBLEMS",
     "Problem",
-    "RunOutputSet",
     "RunResult",
     "SegmentKind",
     "SolverFailure",
@@ -100,32 +87,23 @@ __all__ = [
     "Termination",
     "TraceRecord",
     "VariantResult",
-    "armijo_holds",
     "backtrack",
-    "build_lp_base",
-    "build_lp_new",
     "classify_subsequences",
-    "critical_oracle",
     "critical_region_scan",
     "dominates",
     "emit_traces",
-    "enumerate_vertices_oracle",
     "evaluate",
-    "finite_difference_jacobian",
     "fonseca_fleming",
-    "gamma",
     "get_problem",
     "global_pareto_ratio",
     "kursawe",
     "nondominated_filter",
     "nondominated_mask",
-    "normalize_rows",
     "run_experiment",
     "run_mgd",
     "sample_starts",
     "solve_blockwise",
     "solve_direction",
     "solve_lp",
-    "sum_gradient",
     "viennet",
 ]

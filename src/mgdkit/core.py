@@ -98,30 +98,3 @@ def dominates(fa: np.ndarray, fb: np.ndarray) -> bool:
     if fa.shape != fb.shape:
         raise ValueError(f"length mismatch: {fa.shape} vs {fb.shape}")
     return bool(np.all(fa <= fb) and np.any(fa != fb))
-
-
-def critical_oracle(evaluation: Evaluation, n_samples: int, seed: int) -> bool:
-    """Sampling oracle for Pareto criticality (test use only).
-
-    Draws ``n_samples`` unit directions uniformly on the sphere and returns
-    False as soon as one is a shared descent direction (jac @ v < 0
-    componentwise).  A True answer only means no shared descent direction
-    was found among the samples; callers must use instances whose descent
-    cones are wide enough for the sample size.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    jac = evaluation.jac
-    n = jac.shape[1]
-    rng = np.random.default_rng(seed)
-    batch = 4096
-    remaining = n_samples
-    while remaining > 0:
-        k = min(batch, remaining)
-        V = rng.normal(size=(k, n))
-        norms = np.linalg.norm(V, axis=1)
-        V = V[norms > 0] / norms[norms > 0, None]
-        if np.any(np.all(V @ jac.T < 0, axis=1)):
-            return False
-        remaining -= k
-    return True

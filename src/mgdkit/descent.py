@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Evaluation, Problem, dominates, evaluate
-from .direction import CriticalityCase, DirectionConfig, DirectionResult, solve_direction
+from .direction import TOL_ZERO_DIR, CriticalityCase, DirectionConfig, solve_direction
 from .metrics import nondominated_mask
 
 
@@ -42,7 +42,6 @@ class BacktrackParams:
     theta: int = 40
     eta_hat: Optional[float] = None  # defaults to eta0 * alpha**theta
     variant: BacktrackVariant = BacktrackVariant.BT_NEW
-    store_critical: bool = True
     paper_semantics: bool = False  # disable the zero-direction early stop
 
     def __post_init__(self):
@@ -93,16 +92,6 @@ class SegmentKind(Enum):
     PC_ETA_HAT = "pc-eta-hat"
     PC_0 = "pc-0"
     NPC = "npc"
-
-
-def armijo_holds(
-    eval_k: Evaluation, p: np.ndarray, eta: float, c1: float, f_new: np.ndarray
-) -> bool:
-    """Sufficient-decrease check for every objective simultaneously."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    slopes = eval_k.jac @ p
-    return bool(np.all(f_new <= eval_k.f + c1 * eta * slopes))
 
 
 def backtrack(
@@ -166,17 +155,10 @@ def run_mgd(
     except Exception as exc:
         raise type(exc)(f"iteration 0: {exc}") from exc
 
-    k = 0
     for k in range(K):
         try:
-            d = solve_direction(
-                ev.jac,
-                dir_cfg.variant,
-                dir_cfg.epsilon,
-                dir_cfg.tol_grad,
-                dir_cfg.tol_zero_dir,
-            )
-            if not params.paper_semantics and np.abs(d.p_star).max() <= dir_cfg.tol_zero_dir:
+            d = solve_direction(ev.jac, dir_cfg.variant, dir_cfg.epsilon)
+            if not params.paper_semantics and np.abs(d.p_star).max() <= TOL_ZERO_DIR:
                 record(k, ev, d, 0.0, True)
                 termination = Termination.ZERO_DIRECTION
                 break
@@ -196,7 +178,7 @@ def run_mgd(
                 raise
             raise type(exc)(f"iteration {k}: {exc}") from exc
 
-        if bt_new and params.store_critical and not dominates(ev_new.f, ev.f):
+        if bt_new and not dominates(ev_new.f, ev.f):
             stored_x.append(ev.x)
             stored_f.append(ev.f)
         record(k, ev, d, eta, satisfied)
@@ -206,6 +188,8 @@ def run_mgd(
             # here on; finishing the budget would change nothing.
             termination = Termination.ZERO_DIRECTION
             break
+    else:
+        k = K  # the budget is used up: all K steps were taken
 
     return RunResult(
         trace=trace,

@@ -10,13 +10,16 @@ cases according to the geometry of the feasible non-ascent directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .lp import LpSpec, LpStatus, SolverFailure, _simplex_core
+from .lp import LpStatus, SolverFailure, _simplex_core
+
+TOL_GRAD = 1e-12  # lp-new drops gradient rows with norm <= this
+TOL_ZERO_DIR = 1e-9  # beta*, cone minima and |p|inf within this of 0 count as 0
 
 
 class DirectionVariant(Enum):
@@ -35,14 +38,10 @@ class CriticalityCase(Enum):
 class DirectionConfig:
     variant: DirectionVariant = DirectionVariant.LP_NEW
     epsilon: float = 1.0
-    tol_grad: float = 1e-12
-    tol_zero_dir: float = 1e-9
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.tol_grad <= 0:
-            raise ValueError("tol_grad must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,120 +58,48 @@ class DirectionResult:
         return self.case is not CriticalityCase.NOT_CRITICAL
 
 
-def sum_gradient(jac: np.ndarray) -> np.ndarray:
-    """Sum of the gradient rows."""
-    return np.asarray(jac, dtype=float).sum(axis=0)
-
-
-def normalize_rows(jac: np.ndarray, tol_grad: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Euclidean-normalize rows, dropping those with norm <= tol_grad."""
-    if tol_grad <= 0:
-        raise ValueError("tol_grad must be positive")
-    jac = np.asarray(jac, dtype=float)
-    norms = np.linalg.norm(jac, axis=1)
-    keep = norms > tol_grad
-    dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
-    return jac[keep] / norms[keep, None], dropped
-
-
-def gamma(jac: np.ndarray) -> float:
-    """Box radius: max infinity norm over the gradients and their sum."""
-    jac = np.asarray(jac, dtype=float)
-    if jac.size == 0:
-        return 0.0
-    row_inf = np.abs(jac).max(axis=1)
-    return float(max(row_inf.max(), np.abs(jac.sum(axis=0)).max()))
-
-
-def build_lp_base(jac: np.ndarray) -> LpSpec:
-    """Baseline direction LP over rho = (p, beta)."""
-    jac = np.asarray(jac, dtype=float)
-    m, n = jac.shape
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    A = np.hstack([jac, -np.ones((m, 1))])
-    lower = np.concatenate([-np.ones(n), [-np.inf]])
-    upper = np.concatenate([np.ones(n), [0.0]])
-    return LpSpec(c=c, A=A, b=np.zeros(m), lower=lower, upper=upper)
-
-
-def build_lp_new(jac: np.ndarray, epsilon: float, tol_grad: float) -> LpSpec:
-    """New direction LP with normalized constraint rows and scaled box.
-
-    If every gradient row drops (all magnitudes below tol_grad), a sentinel
-    spec pinning rho = 0 is returned.
-    """
-    jac = np.asarray(jac, dtype=float)
-    m, n = jac.shape
-    gbar, dropped = normalize_rows(jac, tol_grad)
-    if gbar.shape[0] == 0:
-        zero = np.zeros(n + 1)
-        return LpSpec(c=zero, A=np.zeros((0, n + 1)), b=np.zeros(0), lower=zero, upper=zero)
-    g = sum_gradient(jac)
-    gam = gamma(jac)
-    c_beta = float(np.linalg.norm(g)) + epsilon
-    c = np.concatenate([g, [c_beta]])
-    A = np.hstack([gbar, -np.ones((gbar.shape[0], 1))])
-    lower = np.concatenate([np.full(n, -gam), [-np.inf]])
-    upper = np.concatenate([np.full(n, gam), [0.0]])
-    return LpSpec(c=c, A=A, b=np.zeros(gbar.shape[0]), lower=lower, upper=upper)
-
-
 def _fast_direction_lp(
-    c_p: list, c_beta: float, G: list, gam: float
+    c_p: list, G: list, box: float, c_beta: Optional[float] = None
 ) -> tuple[float, list, float]:
-    """min c_p.p + c_beta*beta  s.t.  G p <= beta e, |p|inf <= gam, beta <= 0.
+    """min c_p.p + c_beta*beta  s.t.  G p <= beta e, |p|inf <= box, beta <= 0.
 
-    Plain-list mirror of the standard-form reduction in the LP module,
-    specialized to the direction subproblem's shape so the hot loop skips
-    the array plumbing.  Returns (objective value, p, beta).
+    Without ``c_beta`` the beta column is left out, which gives the
+    non-ascent cone LP  min c_p.p  s.t.  G p <= 0, |p|inf <= box  (and
+    beta = 0).  Plain-list reduction to the simplex's standard form, so
+    the hot loop skips the array plumbing.  Returns (value, p, beta).
     """
     n = len(c_p)
-    cs = list(c_p) + [-c_beta]  # beta enters as -y with y >= 0
+    cs = list(c_p)
+    tail = []
+    if c_beta is not None:
+        cs.append(-c_beta)  # beta enters as -y with y >= 0
+        tail = [1.0]
     As, bs = [], []
-    for row in G:  # p shifted by +gam onto [0, 2*gam]
-        As.append(list(row) + [1.0])
-        bs.append(gam * sum(row))
-    two = 2.0 * gam
+    for row in G:  # p shifted by +box onto [0, 2*box]
+        As.append(list(row) + tail)
+        bs.append(box * sum(row))
+    two = 2.0 * box
     for j in range(n):
-        e = [0.0] * (n + 1)
+        e = [0.0] * len(cs)
         e[j] = 1.0
         As.append(e)
         bs.append(two)
     status, y = _simplex_core(cs, As, bs)
     if status is not LpStatus.OPTIMAL:
         raise SolverFailure(f"direction LP ended with status {status.value}")
-    p = [y[j] - gam for j in range(n)]
-    beta = -y[n]
-    value = sum(ci * pi for ci, pi in zip(c_p, p)) + c_beta * beta
+    p = [y[j] - box for j in range(n)]
+    value = sum(ci * pi for ci, pi in zip(c_p, p))
+    beta = 0.0
+    if c_beta is not None:
+        beta = -y[n]
+        value += c_beta * beta
     return value, p, beta
-
-
-def _fast_cone_lp(c_p: list, G: list, box: float) -> float:
-    """min c_p.p  s.t.  G p <= 0, |p|inf <= box; returns the optimal value."""
-    n = len(c_p)
-    As, bs = [], []
-    for row in G:
-        As.append(list(row))
-        bs.append(box * sum(row))
-    two = 2.0 * box
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        As.append(e)
-        bs.append(two)
-    status, y = _simplex_core(list(c_p), As, bs)
-    if status is not LpStatus.OPTIMAL:
-        raise SolverFailure(f"direction LP ended with status {status.value}")
-    return sum(ci * (yj - box) for ci, yj in zip(c_p, y))
 
 
 def solve_direction(
     jac: np.ndarray,
     variant: DirectionVariant = DirectionVariant.LP_NEW,
     epsilon: float = 1.0,
-    tol_grad: float = 1e-12,
-    tol_zero_dir: float = 1e-9,
 ) -> DirectionResult:
     """Solve the chosen direction LP and classify the outcome."""
     jac = np.asarray(jac, dtype=float)
@@ -182,7 +109,7 @@ def solve_direction(
 
     if variant is DirectionVariant.LP_NEW:
         norms = [math.sqrt(sum(v * v for v in row)) for row in J]
-        dropped = tuple(i for i, nm in enumerate(norms) if nm <= tol_grad)
+        dropped = tuple(i for i, nm in enumerate(norms) if nm <= TOL_GRAD)
         gam = max(
             max(abs(v) for row in J for v in row),
             max(abs(v) for v in g),
@@ -200,24 +127,20 @@ def solve_direction(
         G = [
             [v / norms[i] for v in J[i]]
             for i in range(m)
-            if norms[i] > tol_grad
+            if norms[i] > TOL_GRAD
         ]
-        value, p, beta_star = _fast_direction_lp(g, c_beta, G, gam)
-        box = gam
+        value, p, beta_star = _fast_direction_lp(g, G, gam, c_beta)
     else:
         dropped = ()
         G = J
-        value, p, beta_star = _fast_direction_lp([0.0] * n, 1.0, G, 1.0)
+        value, p, beta_star = _fast_direction_lp([0.0] * n, G, 1.0, 1.0)
         gam = 1.0
         c_beta = None
-        box = 1.0
 
-    if beta_star < -tol_zero_dir:
+    if beta_star < -TOL_ZERO_DIR:
         case = CriticalityCase.NOT_CRITICAL
     else:
-        case = _classify_critical(
-            g, G, box, p, beta_star, value, variant, c_beta, tol_zero_dir
-        )
+        case = _classify_critical(g, G, gam, p, beta_star, value, variant, c_beta)
 
     return DirectionResult(
         p_star=np.array(p),
@@ -238,7 +161,6 @@ def _classify_critical(
     value: float,
     variant: DirectionVariant,
     c_beta: Optional[float],
-    tol_zero_dir: float,
 ) -> CriticalityCase:
     """Distinguish the three critical cases at beta* = 0.
 
@@ -253,11 +175,11 @@ def _classify_critical(
         # value already is min g.p over the cone.
         min_gp = value - c_beta * beta_star
     else:
-        min_gp = _fast_cone_lp(g, G, box)
+        min_gp = _fast_direction_lp(g, G, box)[0]
 
-    if min_gp < -tol_zero_dir:
+    if min_gp < -TOL_ZERO_DIR:
         return CriticalityCase.CRITICAL_NON_NULL
-    if max(abs(v) for v in p_star) > tol_zero_dir:
+    if max(abs(v) for v in p_star) > TOL_ZERO_DIR:
         return CriticalityCase.CRITICAL_PERPENDICULAR
     # Returned vertex is 0; probe each coordinate for nonzero feasible
     # directions to tell the {0} cone from a perpendicular one.
@@ -265,7 +187,7 @@ def _classify_critical(
         for sign in (1.0, -1.0):
             c = [0.0] * n
             c[j] = sign
-            if _fast_cone_lp(c, G, box) < -tol_zero_dir:
+            if _fast_direction_lp(c, G, box)[0] < -TOL_ZERO_DIR:
                 return CriticalityCase.CRITICAL_PERPENDICULAR
     return CriticalityCase.CRITICAL_ZERO_ONLY
 
@@ -274,20 +196,18 @@ def solve_blockwise(
     jacs: Sequence[np.ndarray],
     variant: DirectionVariant = DirectionVariant.LP_NEW,
     epsilon: float = 1.0,
-    tol_grad: float = 1e-12,
-    tol_zero_dir: float = 1e-9,
 ) -> list[DirectionResult]:
-    """Solve a batch of independent direction subproblems.
+    """Solve independent direction subproblems, one per Jacobian, in order.
 
-    The stacked LP is block diagonal, so the blocks decompose exactly; the
-    results match independent per-block solves.
+    Each block is solved by :func:`solve_direction` on its own; a solver
+    failure is re-raised with the index of the failing block.
     """
     if len(jacs) == 0:
         raise ValueError("jacs must be non-empty")
     out = []
     for i, jac in enumerate(jacs):
         try:
-            out.append(solve_direction(jac, variant, epsilon, tol_grad, tol_zero_dir))
+            out.append(solve_direction(jac, variant, epsilon))
         except SolverFailure as exc:
             raise SolverFailure(f"block {i}: {exc}") from exc
     return out

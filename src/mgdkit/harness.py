@@ -20,7 +20,7 @@ from .descent import (
     run_mgd,
 )
 from .direction import DirectionConfig, DirectionVariant
-from .metrics import RunOutputSet, global_pareto_ratio, nondominated_filter
+from .metrics import global_pareto_ratio, nondominated_filter
 from .problems import SAMPLER_GENERATOR, StartSampler, get_problem, sample_starts
 
 ALL_DIRECTIONS = (DirectionVariant.LP_BASE, DirectionVariant.LP_NEW)
@@ -419,11 +419,6 @@ def _trace_text(result: RunResult, fmt: str) -> str:
         for rec in result.trace
     ]
     return _json_text(payload) + "\n"
-
-
-def parse_report_json(text: str) -> dict:
-    """Inverse of the emitted report.json (plain JSON)."""
-    return json.loads(text)
 
 
 # --- config files --------------------------------------------------------

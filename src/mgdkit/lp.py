@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -24,10 +23,6 @@ _PIVOT_MIN = 1e-11  # below this the pivot is considered a numerical breakdown
 
 class SolverFailure(RuntimeError):
     """Numerical breakdown inside the simplex iteration."""
-
-
-class OracleInfeasible(Exception):
-    """The vertex-enumeration oracle found no feasible point."""
 
 
 class LpStatus(Enum):
@@ -264,38 +259,3 @@ def solve_lp(spec: LpSpec) -> LpResult:
     rho = shift.copy()
     np.add.at(rho, col_orig, col_sign * np.asarray(y))
     return LpResult(LpStatus.OPTIMAL, rho=rho, objective_value=float(spec.c @ rho))
-
-
-def enumerate_vertices_oracle(spec: LpSpec) -> float:
-    """Exact optimum by enumerating basic feasible points (test oracle).
-
-    Requires d <= 6, r <= 10, and finite bounds.  Raises
-    :class:`OracleInfeasible` when no feasible point exists.
-    """
-    d, r = spec.d, spec.b.size
-    if d > 6 or r > 10:
-        raise ValueError("oracle limited to d <= 6, r <= 10")
-    if not (np.all(np.isfinite(spec.lower)) and np.all(np.isfinite(spec.upper))):
-        raise ValueError("oracle requires finite bounds")
-
-    rows = [spec.A] if r else []
-    rhs = [spec.b] if r else []
-    eye = np.eye(d)
-    rows += [eye, -eye]
-    rhs += [spec.upper, -spec.lower]
-    M = np.vstack(rows)
-    q = np.concatenate(rhs)
-
-    best = np.inf
-    feasible = False
-    for idx in combinations(range(M.shape[0]), d):
-        sub = M[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-10:
-            continue
-        x = np.linalg.solve(sub, q[list(idx)])
-        if np.all(M @ x <= q + 1e-8):
-            feasible = True
-            best = min(best, float(spec.c @ x))
-    if not feasible:
-        raise OracleInfeasible("no basic feasible point")
-    return best

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -113,31 +112,14 @@ def nondominated_filter(points: Sequence[tuple]) -> list[tuple]:
     return [p for p, keep in zip(points, mask) if keep]
 
 
-@dataclass(frozen=True)
-class RunOutputSet:
-    """Per-run output sets, each a list of (x, f) pairs.
-
-    Each run's set is expected to be an antichain under domination (the
-    descent loop prunes before reporting); this is not re-checked here.
-    """
-
-    runs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(tuple(r) for r in self.runs))
-        if len(self.runs) < 1:
-            raise ValueError("need at least one run")
-
-
-def global_pareto_ratio(outputs) -> float:
+def global_pareto_ratio(runs: Sequence[Sequence[tuple]]) -> float:
     """Fraction of runs with a point non-dominated across all runs.
 
-    A run counts when at least one of its points survives non-dominated
+    ``runs`` holds one list of (x, f) pairs per run.  A run counts when at least one of its points survives non-dominated
     filtering of the union of every run's points (equal f-values across
     runs do not dominate each other, so shared optima count for all runs
     attaining them).
     """
-    runs = outputs.runs if isinstance(outputs, RunOutputSet) else list(outputs)
     N = len(runs)
     if N < 1:
         raise ValueError("need at least one run")

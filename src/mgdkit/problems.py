@@ -176,19 +176,3 @@ def sample_starts(sampler: StartSampler) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(sampler.seed))
     lo, hi = sampler.box[:, 0], sampler.box[:, 1]
     return lo + (hi - lo) * rng.random((sampler.count, sampler.box.shape[0]))
-
-
-def finite_difference_jacobian(problem: Problem, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobian, the test oracle for analytic gradients."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    jac = np.empty((problem.m, problem.n))
-    for j in range(problem.n):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp, _ = problem.evaluator(xp)
-        fm, _ = problem.evaluator(xm)
-        jac[:, j] = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
-    return jac

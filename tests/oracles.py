@@ -1,0 +1,106 @@
+"""Reference code for the tests: slow, independent oracles.
+
+None of this runs in an experiment.  Each function restates a quantity
+the library computes by other means, so the tests can compare the two:
+criticality by sampling directions, LP optima by enumerating vertices,
+Jacobians by central differences, and lp-new's normalized rows.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+from mgdkit import Evaluation, LpSpec, Problem
+
+
+class OracleInfeasible(Exception):
+    """The vertex-enumeration oracle found no feasible point."""
+
+
+def critical_oracle(evaluation: Evaluation, n_samples: int, seed: int) -> bool:
+    """Sampling oracle for Pareto criticality.
+
+    Draws ``n_samples`` unit directions uniformly on the sphere and returns
+    False as soon as one is a shared descent direction (jac @ v < 0
+    componentwise).  A True answer only means no shared descent direction
+    was found among the samples; callers must use instances whose descent
+    cones are wide enough for the sample size.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    jac = evaluation.jac
+    n = jac.shape[1]
+    rng = np.random.default_rng(seed)
+    batch = 4096
+    remaining = n_samples
+    while remaining > 0:
+        k = min(batch, remaining)
+        V = rng.normal(size=(k, n))
+        norms = np.linalg.norm(V, axis=1)
+        V = V[norms > 0] / norms[norms > 0, None]
+        if np.any(np.all(V @ jac.T < 0, axis=1)):
+            return False
+        remaining -= k
+    return True
+
+
+def enumerate_vertices_oracle(spec: LpSpec) -> float:
+    """Exact optimum by enumerating basic feasible points.
+
+    Requires d <= 6, r <= 10, and finite bounds.  Raises
+    :class:`OracleInfeasible` when no feasible point exists.
+    """
+    d, r = spec.d, spec.b.size
+    if d > 6 or r > 10:
+        raise ValueError("oracle limited to d <= 6, r <= 10")
+    if not (np.all(np.isfinite(spec.lower)) and np.all(np.isfinite(spec.upper))):
+        raise ValueError("oracle requires finite bounds")
+
+    rows = [spec.A] if r else []
+    rhs = [spec.b] if r else []
+    eye = np.eye(d)
+    rows += [eye, -eye]
+    rhs += [spec.upper, -spec.lower]
+    M = np.vstack(rows)
+    q = np.concatenate(rhs)
+
+    best = np.inf
+    feasible = False
+    for idx in combinations(range(M.shape[0]), d):
+        sub = M[list(idx)]
+        if abs(np.linalg.det(sub)) < 1e-10:
+            continue
+        x = np.linalg.solve(sub, q[list(idx)])
+        if np.all(M @ x <= q + 1e-8):
+            feasible = True
+            best = min(best, float(spec.c @ x))
+    if not feasible:
+        raise OracleInfeasible("no basic feasible point")
+    return best
+
+
+def finite_difference_jacobian(problem: Problem, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobian, the oracle for analytic gradients."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=float)
+    jac = np.empty((problem.m, problem.n))
+    for j in range(problem.n):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        fp, _ = problem.evaluator(xp)
+        fm, _ = problem.evaluator(xm)
+        jac[:, j] = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
+    return jac
+
+
+def normalize_rows(jac: np.ndarray, tol_grad: float) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Euclidean-normalize rows, dropping those with norm <= tol_grad."""
+    if tol_grad <= 0:
+        raise ValueError("tol_grad must be positive")
+    jac = np.asarray(jac, dtype=float)
+    norms = np.linalg.norm(jac, axis=1)
+    keep = norms > tol_grad
+    dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
+    return jac[keep] / norms[keep, None], dropped

@@ -18,13 +18,9 @@ from mgdkit import (
     Evaluation,
     ExperimentConfig,
     StartSampler,
-    critical_oracle,
     critical_region_scan,
-    enumerate_vertices_oracle,
     evaluate,
-    finite_difference_jacobian,
     get_problem,
-    normalize_rows,
     run_experiment,
     run_mgd,
     sample_starts,
@@ -32,7 +28,14 @@ from mgdkit import (
     solve_direction,
     solve_lp,
 )
-from mgdkit.lp import LpStatus, OracleInfeasible
+from mgdkit.lp import LpStatus
+from oracles import (
+    OracleInfeasible,
+    critical_oracle,
+    enumerate_vertices_oracle,
+    finite_difference_jacobian,
+    normalize_rows,
+)
 
 SEED = 42
 N_STARTS = 100

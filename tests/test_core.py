@@ -7,11 +7,11 @@ from mgdkit import (
     Evaluation,
     EvaluationError,
     Problem,
-    critical_oracle,
     dominates,
     evaluate,
     get_problem,
 )
+from oracles import critical_oracle
 
 
 def _toy_problem(evaluator, n=2, m=2, name="toy"):

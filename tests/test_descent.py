@@ -9,11 +9,9 @@ from mgdkit import (
     CriticalityCase,
     DirectionConfig,
     DirectionVariant,
-    Evaluation,
     Problem,
     SegmentKind,
     Termination,
-    armijo_holds,
     backtrack,
     classify_subsequences,
     dominates,
@@ -95,27 +93,44 @@ class TestParams:
         assert BacktrackParams(eta_hat=0.0).fallback_step == 0.0
 
 
+def _one_step(eta, c1=0.1):
+    """Backtracking whose ladder is the single step ``eta``."""
+    return BacktrackParams(c1=c1, eta0=eta, theta=1)
+
+
 class TestArmijo:
+    # f = x^2 at x = 1 with p = -2: the slope is -4.
     def test_quarter_step_passes(self):
-        ev = Evaluation(x=np.array([1.0]), f=np.array([1.0]), jac=np.array([[2.0]]))
-        assert armijo_holds(ev, np.array([-2.0]), 0.25, 0.1, np.array([0.25]))
+        prob = _problem_single_quadratic()
+        ev = evaluate(prob, np.array([1.0, 0.0]))
+        p = np.array([-2.0, 0.0])
+        eta, _, satisfied = backtrack(prob, ev, p, _one_step(0.25))
+        assert satisfied  # f = 0.25 <= 1 - 0.25 * 0.1 * 4
+        assert eta == 0.25
 
     def test_full_step_fails(self):
-        ev = Evaluation(x=np.array([1.0]), f=np.array([1.0]), jac=np.array([[2.0]]))
-        assert not armijo_holds(ev, np.array([-2.0]), 1.0, 0.1, np.array([1.0]))
+        prob = _problem_single_quadratic()
+        ev = evaluate(prob, np.array([1.0, 0.0]))
+        p = np.array([-2.0, 0.0])
+        params = _one_step(1.0)
+        eta, _, satisfied = backtrack(prob, ev, p, params)
+        assert not satisfied  # f = 1 > 1 - 1.0 * 0.1 * 4
+        assert eta == params.fallback_step
 
     def test_small_steps_pass_for_descent_directions(self):
         prob = _problem_1d_pair()
         ev = evaluate(prob, np.array([3.0]))
         p = np.array([-1.0])  # descent for both objectives at x=3
         for eta in (1e-3, 1e-5, 1e-8):
-            f_new, _ = prob.evaluator(ev.x + eta * p)
-            assert armijo_holds(ev, p, eta, 0.1, f_new)
+            step, _, satisfied = backtrack(prob, ev, p, _one_step(eta))
+            assert satisfied
+            assert step == eta
 
     def test_eta_must_be_positive(self):
-        ev = Evaluation(x=np.array([0.0]), f=np.array([0.0]), jac=np.array([[1.0]]))
         with pytest.raises(ValueError):
-            armijo_holds(ev, np.array([1.0]), 0.0, 0.5, np.array([0.0]))
+            _one_step(0.0)
+        with pytest.raises(ValueError):
+            _one_step(-0.25)
 
 
 class TestBacktrack:
@@ -130,10 +145,11 @@ class TestBacktrack:
         assert eta == pytest.approx(0.8**7)
         assert x_new == pytest.approx(ev.x + eta * d.p_star)
         # Cross-check against a direct scan over the ladder.
+        slopes = ev.jac @ d.p_star
         for t in range(40):
             cand = 1.0 * 0.8**t
             f_new, _ = prob.evaluator(ev.x + cand * d.p_star)
-            if armijo_holds(ev, d.p_star, cand, 1e-9, f_new):
+            if np.all(f_new <= ev.f + 1e-9 * cand * slopes):
                 assert cand == pytest.approx(eta)
                 break
 
@@ -269,6 +285,19 @@ class TestRunMgd:
             x = res.x_hat
             assert np.max(np.abs(x[:, None] - x[None, :])) <= 0.05
             assert np.all(np.abs(x) <= bound)
+
+    def test_used_up_budget_counts_every_step(self):
+        # A run that takes all K steps reports K iterations, not K - 1.
+        prob = get_problem("fonseca-fleming")
+        x0 = np.array([1.5, -1.0, 0.3])
+        params = BacktrackParams(variant=BacktrackVariant.BT_NEW)
+        one = run_mgd(prob, x0, params, LP_NEW, K=1)
+        assert one.termination is Termination.MAX_ITERS
+        assert not np.array_equal(one.x_hat, x0)
+        assert one.iterations == 1
+        many = run_mgd(prob, x0, params, LP_NEW, K=5)
+        assert many.termination is Termination.MAX_ITERS
+        assert many.iterations == len(many.trace) == 5
 
     def test_invalid_budget(self):
         prob = _problem_single_quadratic()

@@ -7,96 +7,130 @@ from mgdkit import (
     CriticalityCase,
     DirectionVariant,
     Evaluation,
-    build_lp_base,
-    build_lp_new,
-    critical_oracle,
-    enumerate_vertices_oracle,
-    gamma,
-    normalize_rows,
+    LpSpec,
     solve_blockwise,
     solve_direction,
-    solve_lp,
-    sum_gradient,
 )
-from mgdkit.lp import LpSpec
+from oracles import critical_oracle, enumerate_vertices_oracle, normalize_rows
+
+LP_BASE = DirectionVariant.LP_BASE
+LP_NEW = DirectionVariant.LP_NEW
 
 
 def _jac(rows):
     return np.asarray(rows, dtype=float)
 
 
+def _written_lp(jac, variant, epsilon=1.0):
+    """The direction LP over rho = (p, beta), written out with numpy.
+
+    lp-base: min beta  s.t.  jac p <= beta e, |p|inf <= 1, beta <= 0.
+    lp-new:  min g.p + (|g| + epsilon) beta  s.t.  normalized rows p <= beta e,
+    |p|inf <= gamma, beta <= 0; g is the gradient sum and gamma the largest
+    absolute entry of the gradients and of g.  The vertex oracle needs a
+    finite lower bound on beta; the one used cannot bind, because every
+    feasible beta is at least max_i row_i.p >= -box * max_i |row_i|_1.
+    """
+    jac = _jac(jac)
+    n = jac.shape[1]
+    if variant is LP_BASE:
+        rows, box = jac, 1.0
+        c = np.append(np.zeros(n), 1.0)
+    else:
+        g = jac.sum(axis=0)
+        rows, _ = normalize_rows(jac, 1e-12)
+        box = max(np.abs(jac).max(), np.abs(g).max())
+        c = np.append(g, np.linalg.norm(g) + epsilon)
+    beta_lb = -1.0 - box * np.abs(rows).sum(axis=1).max()
+    return LpSpec(
+        c=c,
+        A=np.hstack([rows, -np.ones((rows.shape[0], 1))]),
+        b=np.zeros(rows.shape[0]),
+        lower=np.append(np.full(n, -box), beta_lb),
+        upper=np.append(np.full(n, box), 0.0),
+    )
+
+
+def _solve_checked(jac, variant):
+    """solve_direction, with its box, beta weight and LP value checked
+    against the written-out LP and its vertex oracle."""
+    res = solve_direction(_jac(jac), variant)
+    spec = _written_lp(jac, variant)
+    assert res.gamma == pytest.approx(spec.upper[0], abs=1e-12)
+    if variant is LP_NEW:
+        assert res.c_beta == pytest.approx(spec.c[-1], abs=1e-12)
+    else:
+        assert res.c_beta is None
+    value = float(spec.c @ np.append(res.p_star, res.beta_star))
+    assert value == pytest.approx(enumerate_vertices_oracle(spec), abs=1e-8)
+    return res
+
+
 class TestBuildingBlocks:
     def test_sum_gradient(self):
-        assert sum_gradient(_jac([[1, 0], [-1, 0]])) == pytest.approx([0, 0])
-        assert sum_gradient(_jac([[1, 2], [-3, 0]])) == pytest.approx([-2, 2])
-        assert sum_gradient(_jac([[3, 4]])) == pytest.approx([3, 4])
+        # lp-new weighs p by the gradient sum g and beta by |g| + epsilon.
+        assert solve_direction(_jac([[1, 0], [-1, 0]])).c_beta == pytest.approx(1.0)
+        assert solve_direction(_jac([[1, 2], [-3, 0]])).c_beta == pytest.approx(
+            np.sqrt(8.0) + 1.0
+        )
+        res = _solve_checked([[3, 4]], LP_NEW)
+        assert res.c_beta == pytest.approx(6.0)
+        # g = (3, 4) and beta = 0.6 p1 + 0.8 p2 push p to the -gamma corner.
+        assert res.p_star == pytest.approx([-4.0, -4.0], abs=1e-9)
 
     def test_normalize_rows(self):
-        normed, dropped = normalize_rows(_jac([[3, 4]]), 1e-12)
-        assert normed == pytest.approx(np.array([[0.6, 0.8]]))
-        assert list(dropped) == []
+        # beta* is the worst slope of the normalized rows, not the raw ones.
+        res = _solve_checked([[3, 4]], LP_NEW)
+        assert list(res.dropped_rows) == []
+        assert res.beta_star == pytest.approx(-5.6, abs=1e-9)
 
-        normed, dropped = normalize_rows(_jac([[0, 0], [2, 0]]), 1e-12)
-        assert normed == pytest.approx(np.array([[1.0, 0.0]]))
-        assert list(dropped) == [0]
+        res = _solve_checked([[0, 0], [2, 0]], LP_NEW)
+        assert list(res.dropped_rows) == [0]
+        assert res.beta_star == pytest.approx(-2.0, abs=1e-9)
 
-        normed, _ = normalize_rows(_jac([[2, 0], [0, -5]]), 1e-12)
-        assert normed == pytest.approx(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        res = _solve_checked([[2, 0], [0, -5]], LP_NEW)
+        assert res.p_star == pytest.approx([-5.0, 5.0], abs=1e-9)
+        assert res.beta_star == pytest.approx(-5.0, abs=1e-9)
 
     def test_gamma(self):
-        assert gamma(_jac([[1, 2], [-3, 0]])) == pytest.approx(3.0)
-        assert gamma(_jac([[1, 0], [-1, 0]])) == pytest.approx(1.0)
-        assert gamma(_jac([[0, 0], [0, 0]])) == pytest.approx(0.0)
+        assert solve_direction(_jac([[1, 2], [-3, 0]])).gamma == pytest.approx(3.0)
+        assert solve_direction(_jac([[1, 0], [-1, 0]])).gamma == pytest.approx(1.0)
+        assert solve_direction(_jac([[0, 0], [0, 0]])).gamma == pytest.approx(0.0)
+        assert solve_direction(_jac([[1, 2], [-3, 0]]), LP_BASE).gamma == 1.0
 
 
 class TestRawGradientLp:
     def test_single_gradient(self):
-        spec = build_lp_base(_jac([[1.0, 0.0]]))
-        res = solve_lp(spec)
-        assert res.rho[-1] == pytest.approx(-1.0, abs=1e-9)
-        assert res.rho[0] == pytest.approx(-1.0, abs=1e-9)
-        bounded = LpSpec(spec.c, spec.A, spec.b,
-                         np.where(np.isfinite(spec.lower), spec.lower, -10.0),
-                         spec.upper)
-        assert enumerate_vertices_oracle(bounded) == pytest.approx(-1.0, abs=1e-9)
+        res = _solve_checked([[1.0, 0.0]], LP_BASE)
+        assert res.beta_star == pytest.approx(-1.0, abs=1e-9)
+        assert res.p_star[0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_opposed_gradients_zero_optimum(self):
-        res = solve_lp(build_lp_base(_jac([[1, 0], [-1, 0]])))
-        assert res.objective_value == pytest.approx(0.0, abs=1e-9)
+        res = _solve_checked([[1, 0], [-1, 0]], LP_BASE)
+        assert res.beta_star == pytest.approx(0.0, abs=1e-9)
 
     def test_quarter_cone_negative_optimum(self):
-        res = solve_lp(build_lp_base(_jac([[1, 0], [0, 1]])))
-        assert res.rho[-1] < -1e-9
+        res = _solve_checked([[1, 0], [0, 1]], LP_BASE)
+        assert res.beta_star < -1e-9
 
 
 class TestNormalizedSumLp:
     def test_opposed_gradients(self):
-        spec = build_lp_new(_jac([[1, 0], [-1, 0]]), epsilon=1.0, tol_grad=1e-12)
-        res = solve_lp(spec)
-        assert res.objective_value == pytest.approx(0.0, abs=1e-9)
-        assert res.rho[-1] == pytest.approx(0.0, abs=1e-9)
-        assert res.rho[0] == pytest.approx(0.0, abs=1e-9)
+        res = _solve_checked([[1, 0], [-1, 0]], LP_NEW)
+        assert res.beta_star == pytest.approx(0.0, abs=1e-9)
+        assert res.p_star[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_three_gradient_unique_vertex(self):
-        jac = _jac([[1, 0], [0, 1], [-1, 0]])
-        spec = build_lp_new(jac, epsilon=1.0, tol_grad=1e-12)
-        res = solve_lp(spec)
-        assert res.rho[:2] == pytest.approx([0.0, -1.0], abs=1e-8)
-        assert res.rho[-1] == pytest.approx(0.0, abs=1e-9)
-        bounded = LpSpec(spec.c, spec.A, spec.b,
-                         np.where(np.isfinite(spec.lower), spec.lower, -10.0),
-                         spec.upper)
-        assert res.objective_value == pytest.approx(
-            enumerate_vertices_oracle(bounded), abs=1e-8
-        )
+        res = _solve_checked([[1, 0], [0, 1], [-1, 0]], LP_NEW)
+        assert res.p_star == pytest.approx([0.0, -1.0], abs=1e-8)
+        assert res.beta_star == pytest.approx(0.0, abs=1e-9)
 
     def test_one_dimensional_corner(self):
-        jac = _jac([[6.0], [2.0]])
-        spec = build_lp_new(jac, epsilon=1.0, tol_grad=1e-12)
-        assert spec.c == pytest.approx([8.0, 9.0])
-        assert spec.upper[0] == pytest.approx(8.0)  # box scalar
-        res = solve_lp(spec)
-        assert res.rho == pytest.approx([-8.0, -8.0], abs=1e-8)
+        res = _solve_checked([[6.0], [2.0]], LP_NEW)
+        assert res.c_beta == pytest.approx(9.0)  # |g| + epsilon, g = 8
+        assert res.gamma == pytest.approx(8.0)  # box scalar
+        assert res.p_star == pytest.approx([-8.0], abs=1e-8)
+        assert res.beta_star == pytest.approx(-8.0, abs=1e-8)
 
 
 class TestClassification:
@@ -109,7 +143,7 @@ class TestClassification:
         jac = _jac([[1, 0], [0, 1], [-1, 0]])
         res = solve_direction(jac, DirectionVariant.LP_NEW)
         assert res.case is CriticalityCase.CRITICAL_NON_NULL
-        g = sum_gradient(jac)
+        g = jac.sum(axis=0)
         assert float(g @ res.p_star) == pytest.approx(-1.0, abs=1e-8)
 
     def test_not_critical(self):
@@ -283,3 +317,26 @@ class TestBlockwise:
                 assert res.p_star == pytest.approx(one.p_star, abs=1e-10)
                 assert res.beta_star == pytest.approx(one.beta_star, abs=1e-10)
                 assert res.case is one.case
+
+
+class TestProductionLpOracle:
+    @pytest.mark.parametrize("variant", list(DirectionVariant))
+    def test_200_jacobians_match_vertex_oracle(self, variant):
+        # 200 seeded Jacobians from the critical, non-critical and plain
+        # normal generators: c.(p*, beta*) from solve_direction equals the
+        # vertex oracle's optimum of the written-out LP to 1e-8.
+        rng = np.random.Generator(np.random.Philox(18))
+        phase_one = 0
+        for i in range(200):
+            kind = i % 3
+            if kind == 0:
+                jac = _critical_instance(rng)
+            elif kind == 1:
+                jac = _noncritical_instance(rng)
+            else:
+                jac = rng.normal(size=(int(rng.integers(1, 5)), 3))
+            # A row with a negative sum gets a negative right-hand side in
+            # standard form, which sends the simplex through phase 1.
+            phase_one += bool(np.any(jac.sum(axis=1) < 0))
+            _solve_checked(jac, variant)
+        assert phase_one > 50

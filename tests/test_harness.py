@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, persistence, and the CLI."""
 
+import json
 import os
 
 import numpy as np
@@ -13,8 +14,8 @@ from mgdkit import (
 )
 from mgdkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from mgdkit.harness import (
+    _json_text,
     parse_config_file,
-    parse_report_json,
     report_to_dict,
     report_to_text,
     variant_label,
@@ -120,12 +121,32 @@ class TestRunExperiment:
             assert v.failures > 0
             assert any("run" in msg for msg in v.failure_messages)
 
-    def test_parallel_matches_serial(self):
-        serial = run_experiment(_small_config(workers=0))
-        parallel = run_experiment(_small_config(workers=2))
-        for vs, vp in zip(serial.variants, parallel.variants):
-            assert vs.pareto_ratio == vp.pareto_ratio
-            assert vs.termination_counts == vp.termination_counts
+    def test_parallel_matches_serial(self, tmp_path):
+        # A 2-worker pool writes byte-identical front files and the same
+        # report.json as a serial run, apart from wall times and the
+        # echoed worker count.
+        def outputs(problem, workers):
+            out = tmp_path / f"{problem}-{workers}"
+            run_experiment(
+                _small_config(
+                    problem=problem, n_starts=12, seed=7, workers=workers,
+                    out_dir=str(out),
+                )
+            )
+            report = json.loads((out / "report.json").read_text())
+            report["total_wall_time"] = 0.0
+            report["config"]["workers"] = 0
+            for v in report["variants"]:
+                v["wall_time"] = 0.0
+            fronts = {p.name: p.read_bytes() for p in sorted(out.glob("front_*"))}
+            return report, fronts
+
+        for problem in ("fonseca-fleming", "kursawe", "viennet"):
+            serial_report, serial_fronts = outputs(problem, 0)
+            pool_report, pool_fronts = outputs(problem, 2)
+            assert len(serial_fronts) == 4
+            assert pool_fronts == serial_fronts
+            assert pool_report == serial_report
 
 
 class TestPersistence:
@@ -133,11 +154,8 @@ class TestPersistence:
         out = str(tmp_path / "exp")
         report = run_experiment(_small_config(out_dir=out))
         with open(os.path.join(out, "report.json")) as fh:
-            parsed = parse_report_json(fh.read())
-        direct = report_to_dict(report)
-        assert parsed == parse_report_json(
-            __import__("mgdkit.harness", fromlist=["_json_text"])._json_text(direct)
-        )
+            parsed = json.loads(fh.read())
+        assert parsed == json.loads(_json_text(report_to_dict(report)))
         assert parsed["problem"] == "fonseca-fleming"
         assert len(parsed["variants"]) == 4
 

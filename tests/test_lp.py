@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from mgdkit import (
-    LpResult,
-    LpSpec,
-    LpStatus,
-    OracleInfeasible,
-    enumerate_vertices_oracle,
-    solve_lp,
-)
+from mgdkit import LpResult, LpSpec, LpStatus, solve_lp
+from oracles import OracleInfeasible, enumerate_vertices_oracle
 
 INF = np.inf
 

@@ -5,7 +5,6 @@ import pytest
 
 from mgdkit import (
     Problem,
-    RunOutputSet,
     critical_region_scan,
     dominates,
     get_problem,
@@ -73,15 +72,15 @@ class TestNondominatedFilter:
 class TestGlobalParetoRatio:
     def test_mutually_nondominated(self):
         runs = [_points([[0, 1]]), _points([[1, 0]])]
-        assert global_pareto_ratio(RunOutputSet(runs)) == pytest.approx(1.0)
+        assert global_pareto_ratio(runs) == pytest.approx(1.0)
 
     def test_one_dominated(self):
         runs = [_points([[0, 0]]), _points([[1, 1]])]
-        assert global_pareto_ratio(RunOutputSet(runs)) == pytest.approx(0.5)
+        assert global_pareto_ratio(runs) == pytest.approx(0.5)
 
     def test_equal_outputs_both_count(self):
         runs = [_points([[0, 0]]), _points([[0, 0]])]
-        assert global_pareto_ratio(RunOutputSet(runs)) == pytest.approx(1.0)
+        assert global_pareto_ratio(runs) == pytest.approx(1.0)
 
     def test_antichain_union_scores_one(self):
         runs = [_points([[float(j), float(9 - j)]]) for j in range(10)]
@@ -99,8 +98,6 @@ class TestGlobalParetoRatio:
     def test_at_least_one_run_required(self):
         with pytest.raises(ValueError):
             global_pareto_ratio([])
-        with pytest.raises(ValueError):
-            RunOutputSet([])
 
 
 def _two_quadratics():

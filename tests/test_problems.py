@@ -8,11 +8,11 @@ from mgdkit import (
     Problem,
     StartSampler,
     evaluate,
-    finite_difference_jacobian,
     fonseca_fleming,
     get_problem,
     sample_starts,
 )
+from oracles import finite_difference_jacobian
 
 
 class TestRegistry:
