@@ -181,9 +181,19 @@ def _cmd_scan(args) -> int:
     if len(pair) != 2:
         raise UsageError("--pair expects exactly two objective numbers")
     if args.resolution:
-        res = [int(v) for v in args.resolution.split(",")]
+        try:
+            res = [int(v) for v in args.resolution.split(",")]
+        except ValueError:
+            raise UsageError(
+                f"--resolution expects integers, got {args.resolution!r}"
+            )
         if len(res) == 1:
             res = res * problem.n
+        elif len(res) != problem.n:
+            raise UsageError(
+                f"--resolution expects 1 or {problem.n} cell counts for "
+                f"{args.problem}, got {len(res)}"
+            )
     else:
         res = [256 if problem.n == 2 else 64] * problem.n
 
@@ -198,7 +208,7 @@ def _cmd_scan(args) -> int:
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        cells = [[int(v) for v in idx] for idx in np.argwhere(mask)]
+        cells = np.argwhere(mask).tolist()
         payload = {
             "problem": args.problem,
             "pair": list(pair),

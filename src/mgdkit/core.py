@@ -24,7 +24,10 @@ class Problem:
     f of shape (m,) and jac of shape (m, n), row i being grad f_i(x).
     ``f_batch``, if given, maps an (N, n) array of points to an (N, m)
     array of objective values; it is an optimization used by the line
-    search and must agree with ``evaluator``.
+    search and must agree with ``evaluator``.  ``jac_batch``, if given,
+    maps (N, n) points to the (N, m, n) stack of their Jacobians; the
+    domain scan uses it and it must agree with ``evaluator``'s Jacobian.
+    Without them, ``eval_f_batch`` and ``eval_jac_batch`` loop ``evaluator``.
     """
 
     name: str
@@ -34,6 +37,7 @@ class Problem:
     domain_box: np.ndarray  # shape (n, 2), columns (lower, upper)
     default_max_iters: int
     f_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
+    jac_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -53,6 +57,13 @@ class Problem:
         if self.f_batch is not None:
             return self.f_batch(X)
         return np.array([self.evaluator(x)[0] for x in X])
+
+    def eval_jac_batch(self, X: np.ndarray) -> np.ndarray:
+        """Jacobians for a batch of points, shape (N, n) -> (N, m, n)."""
+        X = np.asarray(X, dtype=float)
+        if self.jac_batch is not None:
+            return self.jac_batch(X)
+        return np.array([self.evaluator(x)[1] for x in X]).reshape(len(X), self.m, self.n)
 
 
 @dataclass(frozen=True)

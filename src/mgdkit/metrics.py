@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
 
 from .core import Problem
+from .direction import TOL_GRAD
+
+_SCAN_CHUNK = 4096  # grid cells per batched Jacobian call in critical_region_scan
 
 
 def nondominated_mask(F: np.ndarray) -> np.ndarray:
@@ -141,7 +145,7 @@ def critical_region_scan(
     resolution: Sequence[int],
     pair: tuple[int, int],
     tol: float,
-    tol_grad: float = 1e-12,
+    tol_grad: float = TOL_GRAD,
 ) -> np.ndarray:
     """Mark grid cells where two normalized gradients nearly cancel.
 
@@ -150,6 +154,12 @@ def critical_region_scan(
     for the 1-based objective pair (i, j); cells where either gradient
     norm is <= tol_grad stay unmarked.  Returns a boolean array shaped
     like the grid.
+
+    The cells are evaluated ``_SCAN_CHUNK`` at a time through
+    ``problem.eval_jac_batch``, so apart from the one-byte-per-cell mask
+    the working memory is bounded by the chunk, not the grid; the result
+    is the same as evaluating the cells one by one with
+    ``problem.evaluator``.
     """
     box = np.asarray(box, dtype=float).reshape(-1, 2)
     n = box.shape[0]
@@ -167,15 +177,18 @@ def critical_region_scan(
         box[a, 0] + (np.arange(resolution[a]) + 0.5) * (box[a, 1] - box[a, 0]) / resolution[a]
         for a in range(n)
     ]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = grid.reshape(-1, n)
-    mask = np.zeros(pts.shape[0], dtype=bool)
-    for idx, x in enumerate(pts):
-        _, jac = problem.evaluator(x)
-        gi, gj = jac[i], jac[j]
-        ni = np.linalg.norm(gi)
-        nj = np.linalg.norm(gj)
-        if ni <= tol_grad or nj <= tol_grad:
-            continue
-        mask[idx] = np.linalg.norm(gi / ni + gj / nj) < tol
+    cells = math.prod(resolution)
+    mask = np.zeros(cells, dtype=bool)
+    for start in range(0, cells, _SCAN_CHUNK):
+        # The chunk's cell centres, in the grid's C order.
+        idx = np.unravel_index(np.arange(start, min(start + _SCAN_CHUNK, cells)), resolution)
+        jac = problem.eval_jac_batch(np.column_stack([axes[a][idx[a]] for a in range(n)]))
+        gi, gj = jac[:, i], jac[:, j]
+        # np.linalg.norm of a vector is sqrt(dot(g, g)); vecdot is its row-wise form.
+        ni = np.sqrt(np.vecdot(gi, gi))
+        nj = np.sqrt(np.vecdot(gj, gj))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = gi / ni[:, None] + gj / nj[:, None]
+            near = np.sqrt(np.vecdot(s, s)) < tol
+        mask[start : start + _SCAN_CHUNK] = (ni > tol_grad) & (nj > tol_grad) & near
     return mask.reshape(resolution)

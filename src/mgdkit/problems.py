@@ -18,6 +18,16 @@ def _ff_f_batch(a: float):
     return f_batch
 
 
+def _ff_jac_batch(a: float):
+    def jac_batch(X: np.ndarray) -> np.ndarray:
+        D1, D2 = X - a, X + a
+        e1 = np.exp(-np.vecdot(D1, D1))
+        e2 = np.exp(-np.vecdot(D2, D2))
+        return np.stack([(2.0 * e1)[:, None] * D1, (2.0 * e2)[:, None] * D2], axis=1)
+
+    return jac_batch
+
+
 def fonseca_fleming(n: int = 3) -> Problem:
     """Two shifted-Gaussian objectives; Pareto set is the segment between
     the two objective minimizers on the equal-coordinates diagonal."""
@@ -41,6 +51,7 @@ def fonseca_fleming(n: int = 3) -> Problem:
         domain_box=np.tile([-2.0, 2.0], (n, 1)),
         default_max_iters=250,
         f_batch=_ff_f_batch(a),
+        jac_batch=_ff_jac_batch(a),
     )
 
 
@@ -74,6 +85,22 @@ def _kursawe_evaluator(x: np.ndarray):
     return np.array([f1, f2]), np.vstack([g1, g2])
 
 
+def _kursawe_jac_batch(X: np.ndarray) -> np.ndarray:
+    # The arithmetic of _kursawe_evaluator's Jacobian, row by row.
+    s1 = np.hypot(X[:, 0], X[:, 1])
+    s2 = np.hypot(X[:, 1], X[:, 2])
+    e1 = np.exp(-0.2 * s1)
+    e2 = np.exp(-0.2 * s2)
+    ax = np.abs(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(s1 > 0, 2.0 * e1 / s1, 0.0)
+        r2 = np.where(s2 > 0, 2.0 * e2 / s2, 0.0)
+        pw = np.where(ax > 0, 0.8 * np.sign(X) * ax ** (-0.2), 0.0)
+    g1 = np.column_stack([r1 * X[:, 0], r1 * X[:, 1] + r2 * X[:, 1], r2 * X[:, 2]])
+    g2 = pw + 15.0 * X**2 * np.cos(X**3)
+    return np.stack([g1, g2], axis=1)
+
+
 def kursawe() -> Problem:
     return Problem(
         name="kursawe",
@@ -83,6 +110,7 @@ def kursawe() -> Problem:
         domain_box=np.tile([-1.5, 0.5], (3, 1)),
         default_max_iters=1500,
         f_batch=_kursawe_f_batch,
+        jac_batch=_kursawe_jac_batch,
     )
 
 
@@ -123,6 +151,24 @@ def _viennet_evaluator(x: np.ndarray):
     return f, jac
 
 
+def _viennet_jac_batch(X: np.ndarray) -> np.ndarray:
+    # The arithmetic of _viennet_evaluator's Jacobian, row by row.
+    x1, x2 = X[:, 0], X[:, 1]
+    r2 = x1 * x1 + x2 * x2
+    u = 3.0 * x1 - 2.0 * x2 + 4.0
+    v = x1 - x2 + 1.0
+    a1 = 1.0 + 2.0 * np.cos(r2)
+    a3 = 2.0 * (1.1 * np.exp(-r2) - 1.0 / (r2 + 1.0) ** 2)
+    return np.stack(
+        [
+            np.column_stack([a1 * x1, a1 * x2]),
+            np.column_stack([0.75 * u + 2.0 * v / 27.0, -0.5 * u - 2.0 * v / 27.0]),
+            np.column_stack([a3 * x1, a3 * x2]),
+        ],
+        axis=1,
+    )
+
+
 def viennet() -> Problem:
     """Viennet's three objectives on x in [-3, 1.5]^2, with r2 = x1^2 + x2^2
     (Viennet, Fonteix & Marc 1996, Int. J. Systems Science 27(2)):
@@ -136,6 +182,7 @@ def viennet() -> Problem:
         domain_box=np.tile([-3.0, 1.5], (2, 1)),
         default_max_iters=7500,
         f_batch=_viennet_f_batch,
+        jac_batch=_viennet_jac_batch,
     )
 
 

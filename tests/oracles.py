@@ -3,7 +3,8 @@
 None of this runs in an experiment.  Each function restates a quantity
 the library computes by other means, so the tests can compare the two:
 criticality by sampling directions, LP optima by enumerating vertices,
-Jacobians by central differences, and lp-new's normalized rows.
+Jacobians by central differences, lp-new's normalized rows, and the
+critical-region scan cell by cell.
 """
 
 from itertools import combinations
@@ -104,3 +105,28 @@ def normalize_rows(jac: np.ndarray, tol_grad: float) -> tuple[np.ndarray, tuple[
     keep = norms > tol_grad
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
     return jac[keep] / norms[keep, None], dropped
+
+
+def critical_region_scan_oracle(
+    problem: Problem, box: np.ndarray, resolution, pair, tol: float, tol_grad: float
+) -> np.ndarray:
+    """``critical_region_scan`` one cell at a time through ``problem.evaluator``."""
+    box = np.asarray(box, dtype=float).reshape(-1, 2)
+    n = box.shape[0]
+    axes = [
+        box[a, 0] + (np.arange(resolution[a]) + 0.5) * (box[a, 1] - box[a, 0]) / resolution[a]
+        for a in range(n)
+    ]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    pts = grid.reshape(-1, n)
+    i, j = pair[0] - 1, pair[1] - 1
+    mask = np.zeros(pts.shape[0], dtype=bool)
+    for idx, x in enumerate(pts):
+        _, jac = problem.evaluator(x)
+        gi, gj = jac[i], jac[j]
+        ni = np.linalg.norm(gi)
+        nj = np.linalg.norm(gj)
+        if ni <= tol_grad or nj <= tol_grad:
+            continue
+        mask[idx] = np.linalg.norm(gi / ni + gj / nj) < tol
+    return mask.reshape(resolution)

@@ -10,6 +10,8 @@ from mgdkit import (
     BacktrackVariant,
     DirectionVariant,
     ExperimentConfig,
+    critical_region_scan,
+    get_problem,
     run_experiment,
 )
 from mgdkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
@@ -278,6 +280,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert "marked_cells" in out
         assert any(n.startswith("scan_") for n in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize(
+        "resolution, message",
+        [
+            ("abc", "--resolution expects integers, got 'abc'"),
+            ("64,64", "--resolution expects 1 or 3 cell counts for kursawe, got 2"),
+        ],
+    )
+    def test_scan_bad_resolution_is_usage_error(self, capsys, resolution, message):
+        code = main(
+            ["scan", "--problem", "kursawe", "--pair", "1,2", "--tol", "1e-3",
+             "--resolution", resolution]
+        )
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_scan_mask_file_cells(self, tmp_path, capsys):
+        argv = ["scan", "--problem", "viennet", "--pair", "1,3", "--tol", "1e-8",
+                "--resolution", "32", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        payload = json.loads((tmp_path / "scan_viennet_13.json").read_text())
+        prob = get_problem("viennet")
+        mask = critical_region_scan(prob, prob.domain_box, [32, 32], (1, 3), 1e-8)
+        assert payload["marked_cells"] == int(mask.sum()) > 0
+        assert payload["cells"] == [[int(i), int(j)] for i, j in np.argwhere(mask)]
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("MGD_SEED", "17")

@@ -12,6 +12,9 @@ from mgdkit import (
     nondominated_filter,
     nondominated_mask,
 )
+from mgdkit.direction import TOL_GRAD
+from mgdkit.metrics import _SCAN_CHUNK
+from oracles import critical_region_scan_oracle
 
 
 def _points(fs):
@@ -178,3 +181,40 @@ class TestCriticalRegionScan:
         box = np.array([[0.999, 1.001], [-0.001, 0.001]])
         mask = critical_region_scan(prob, box, [3, 3], (1, 2), tol=10.0, tol_grad=1e-2)
         assert not mask[1, 1]
+
+
+# (problem, box or None for the domain box, resolution, pair, tol, tol_grad)
+_SCAN_CASES = {
+    "viennet-12-64": ("viennet", None, [64, 64], (1, 2), 0.05, TOL_GRAD),
+    "viennet-13-64": ("viennet", None, [64, 64], (1, 3), 1e-8, TOL_GRAD),
+    "viennet-23-64": ("viennet", None, [64, 64], (2, 3), 0.05, TOL_GRAD),
+    "kursawe-16": ("kursawe", None, [16, 16, 16], (1, 2), 0.05, TOL_GRAD),
+    # Odd resolution on a box symmetric about 0: cell centres fall on
+    # x_i = 0 (where |x|^0.8 has no slope) and on the s = 0 slice.
+    "kursawe-symmetric-15": ("kursawe", [[-1.0, 1.0]] * 3, [15, 15, 15], (1, 2), 0.05,
+                             TOL_GRAD),
+    "fonseca-fleming-9": ("fonseca-fleming", None, [9, 9, 9], (1, 2), 0.05, TOL_GRAD),
+    # No jac_batch: goes through the evaluator fallback.
+    "two-quadratics-65": ("two-quadratics", None, [65, 65], (1, 2), 0.05, TOL_GRAD),
+    "two-quadratics-tol-grad": ("two-quadratics", [[0.999, 1.001], [-0.001, 0.001]], [3, 3],
+                                (1, 2), 10.0, 1.5e-3),
+    # More than one chunk, and not a multiple of it.
+    "viennet-13-67": ("viennet", None, [67, 67], (1, 3), 1e-8, TOL_GRAD),
+}
+
+
+class TestScanMatchesCellByCell:
+    def test_chunked_case_spans_chunks(self):
+        cells = 67 * 67
+        assert cells > _SCAN_CHUNK and cells % _SCAN_CHUNK != 0
+
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_same_mask_as_oracle(self, case):
+        name, box, resolution, pair, tol, tol_grad = _SCAN_CASES[case]
+        prob = _two_quadratics() if name == "two-quadratics" else get_problem(name)
+        box = prob.domain_box if box is None else np.array(box)
+        mask = critical_region_scan(prob, box, resolution, pair, tol, tol_grad=tol_grad)
+        expected = critical_region_scan_oracle(prob, box, resolution, pair, tol, tol_grad)
+        assert mask.dtype == bool and mask.shape == tuple(resolution)
+        assert np.array_equal(mask, expected)
+        assert expected.any()

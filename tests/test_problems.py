@@ -163,6 +163,65 @@ class TestJacobiansAgainstDifferences:
         assert np.all(np.isfinite(F))
 
 
+def _points_with_zeros(prob, count, seed):
+    """``count`` seeded box points, then copies of the first 8 with every
+    nonempty set of coordinates set to +0.0 and to -0.0."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    lo, hi = prob.domain_box[:, 0], prob.domain_box[:, 1]
+    X = lo + (hi - lo) * rng.random((count, prob.n))
+    rows = [X]
+    for bits in range(1, 2**prob.n):
+        axes = [a for a in range(prob.n) if bits >> a & 1]
+        for zero in (0.0, -0.0):
+            Z = X[:8].copy()
+            Z[:, axes] = zero
+            rows.append(Z)
+    return np.vstack(rows)
+
+
+class TestBatchedJacobian:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_fonseca_fleming_bit_identical_to_evaluator(self, n):
+        self._check_bit_identical(fonseca_fleming(n))
+
+    def test_kursawe_bit_identical_to_evaluator(self):
+        self._check_bit_identical(get_problem("kursawe"))
+
+    @staticmethod
+    def _check_bit_identical(prob):
+        X = _points_with_zeros(prob, 2000, 41)
+        J = prob.jac_batch(X)
+        expected = np.array([prob.evaluator(x)[1] for x in X])
+        assert J.shape == expected.shape == (len(X), prob.m, prob.n)
+        assert J.tobytes() == expected.tobytes()
+
+    def test_viennet_close_to_evaluator(self):
+        # A scalar np.float64 ** 2 and an array square can round apart in
+        # the last bit, so f3's row may differ there.
+        prob = get_problem("viennet")
+        X = _points_with_zeros(prob, 2000, 41)
+        J = prob.jac_batch(X)
+        expected = np.array([prob.evaluator(x)[1] for x in X])
+        assert J.shape == expected.shape == (len(X), 3, 2)
+        np.testing.assert_allclose(J, expected, rtol=1e-12, atol=1e-14)
+
+    def test_evaluator_only_problem_falls_back(self):
+        a = np.array([[2.0, -3.0], [1.0, 0.5], [0.0, 4.0]])
+        prob = Problem(
+            name="linear",
+            n=2,
+            m=3,
+            evaluator=lambda x: (a @ x, a),
+            domain_box=np.tile([-1.0, 1.0], (2, 1)),
+            default_max_iters=1,
+        )
+        X = np.arange(10.0).reshape(5, 2)
+        J = prob.eval_jac_batch(X)
+        assert J.shape == (5, 3, 2)
+        assert np.array_equal(J, np.broadcast_to(a, (5, 3, 2)))
+        assert prob.eval_jac_batch(np.zeros((0, 2))).shape == (0, 3, 2)
+
+
 class TestFiniteDifferenceOracle:
     def test_exact_on_linear(self):
         a = np.array([[2.0, -3.0]])
