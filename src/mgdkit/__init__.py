@@ -23,6 +23,7 @@ from .descent import (
     backtrack,
     classify_subsequences,
     run_mgd,
+    run_mgd_batch,
 )
 from .direction import (
     CriticalityCase,
@@ -101,6 +102,7 @@ __all__ = [
     "nondominated_mask",
     "run_experiment",
     "run_mgd",
+    "run_mgd_batch",
     "sample_starts",
     "solve_blockwise",
     "solve_direction",

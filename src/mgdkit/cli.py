@@ -61,7 +61,8 @@ def _add_common(p: _Parser, with_variant: bool = True):
     p.add_argument("--max-iters", type=int, help="iteration budget override")
     p.add_argument("--out", help="output directory")
     p.add_argument("--format", choices=["csv", "json"], help="trace/front file format")
-    p.add_argument("--workers", type=int, help="worker processes (default: cores)")
+    p.add_argument("--workers", type=int,
+                   help="pool jobs the starts are split into (default: cores)")
     p.add_argument(
         "--paper-semantics",
         action="store_true",
@@ -146,9 +147,12 @@ def _build_config(args, need_out: bool = False) -> ExperimentConfig:
     defaults.update(values)
     if defaults["workers"] <= 1:
         defaults["workers"] = 0
-    return ExperimentConfig(
-        directions=directions, backtrackings=backtrackings, **defaults
-    )
+    try:
+        return ExperimentConfig(
+            directions=directions, backtrackings=backtrackings, **defaults
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_run(args) -> int:

@@ -23,10 +23,11 @@ class Problem:
     ``evaluator`` maps a point x (shape (n,)) to a pair ``(f, jac)`` with
     f of shape (m,) and jac of shape (m, n), row i being grad f_i(x).
     ``f_batch``, if given, maps an (N, n) array of points to an (N, m)
-    array of objective values; it is an optimization used by the line
-    search and must agree with ``evaluator``.  ``jac_batch``, if given,
-    maps (N, n) points to the (N, m, n) stack of their Jacobians; the
-    domain scan uses it and it must agree with ``evaluator``'s Jacobian.
+    array of objective values.  ``jac_batch``, if given, maps (N, n)
+    points to the (N, m, n) stack of their Jacobians.  The descent
+    evaluates its iterates and line searches through them and the domain
+    scan its grid, so both must give ``evaluator``'s values bit for bit
+    for a run to follow the same iterates as with the evaluator alone.
     Without them, ``eval_f_batch`` and ``eval_jac_batch`` loop ``evaluator``.
     """
 

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Evaluation, Problem, dominates, evaluate
+# dominates stays importable here: bench/instrument.py wraps descent.dominates.
+from .core import Evaluation, Problem, dominates, evaluate  # noqa: F401
 from .direction import TOL_ZERO_DIR, CriticalityCase, DirectionConfig, solve_direction
 from .metrics import nondominated_mask
 
@@ -94,6 +95,35 @@ class SegmentKind(Enum):
     NPC = "npc"
 
 
+def _armijo_ladder(
+    problem: Problem,
+    X: np.ndarray,
+    F: np.ndarray,
+    J: np.ndarray,
+    P: np.ndarray,
+    params: BacktrackParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Armijo ladder of W runs at once, through one stacked (W*theta, n)
+    objective evaluation.
+
+    Row i holds a run's point, objectives, Jacobian and direction.
+    Returns each run's step, the first eta0 * alpha**t (t < theta) after
+    which every objective decreases enough, or the fallback step, and
+    whether such a t was found.
+    """
+    etas = params._ladder
+    W, n = X.shape
+    FL = problem.eval_f_batch(
+        (X[:, None, :] + etas[:, None] * P[:, None, :]).reshape(W * etas.size, n)
+    ).reshape(W, etas.size, -1)
+    # np.matmul, not einsum or a sum of products: it rounds each row's
+    # slopes exactly as jac @ p does for one run.
+    slopes = np.matmul(J, P[:, :, None])[:, :, 0]
+    ok = np.all(FL <= F[:, None, :] + etas[:, None] * (params.c1 * slopes)[:, None, :], axis=2)
+    satisfied = ok.any(axis=1)
+    return np.where(satisfied, etas[ok.argmax(axis=1)], params.fallback_step), satisfied
+
+
 def backtrack(
     problem: Problem, eval_k: Evaluation, p: np.ndarray, params: BacktrackParams
 ) -> tuple[float, np.ndarray, bool]:
@@ -103,16 +133,233 @@ def backtrack(
     success; if none succeeds, returns the fallback step with
     satisfied_all = False.
     """
-    x, f, slopes = eval_k.x, eval_k.f, eval_k.jac @ p
-    etas = params._ladder
-    F = problem.eval_f_batch(x + etas[:, None] * p)
-    ok = np.all(F <= f + etas[:, None] * (params.c1 * slopes), axis=1)
-    hits = np.nonzero(ok)[0]
-    if hits.size:
-        eta = float(etas[hits[0]])
-        return eta, x + eta * p, True
-    eta = params.fallback_step
-    return eta, x + eta * p, False
+    p = np.asarray(p, dtype=float)
+    eta, satisfied = _armijo_ladder(
+        problem, eval_k.x[None], eval_k.f[None], eval_k.jac[None], p[None], params
+    )
+    eta = float(eta[0])
+    return eta, eval_k.x + eta * p, bool(satisfied[0])
+
+
+def _evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Objectives (W, m) and Jacobians (W, m, n) at the rows of X.
+
+    One call to each batched kernel when every row is a finite point and
+    the outputs are finite and of the right shapes.  Otherwise each row
+    goes through :func:`evaluate` by itself, so only the offending rows
+    fail, each with evaluate's own error; those are returned as
+    {row: exception} and their output rows are left unset.
+    """
+    W, m, n = len(X), problem.m, problem.n
+    if X.ndim == 2 and X.shape[1] == n and np.isfinite(X).all():
+        try:
+            F = np.asarray(problem.eval_f_batch(X), dtype=float)
+            J = np.asarray(problem.eval_jac_batch(X), dtype=float)
+        except Exception:
+            pass  # retried row by row below, where the error is kept per row
+        else:
+            if (
+                F.shape == (W, m)
+                and J.shape == (W, m, n)
+                and np.isfinite(F).all()
+                and np.isfinite(J).all()
+            ):
+                return F, J, {}
+    F, J, errors = np.empty((W, m)), np.empty((W, m, n)), {}
+    for i, x in enumerate(X):
+        try:
+            ev = evaluate(problem, x)
+        except Exception as exc:
+            errors[i] = exc
+        else:
+            F[i], J[i] = ev.f, ev.jac
+    return F, J, errors
+
+
+def _at_iteration(k: int, exc: Exception) -> Exception:
+    """``exc`` restated with the iteration it ended, as run_mgd raises it."""
+    try:
+        err = type(exc)(f"iteration {k}: {exc}")
+    except Exception as failed:  # an exception type that takes other arguments
+        return failed
+    err.__cause__ = exc
+    return err
+
+
+def _rows(keep: np.ndarray, *items):
+    """The rows of each array or list where ``keep`` is True."""
+    idx = np.flatnonzero(keep)
+    return [
+        item[idx] if isinstance(item, np.ndarray) else [item[i] for i in idx]
+        for item in items
+    ]
+
+
+def _dominates_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row i is True iff A[i] dominates B[i] (see :func:`dominates`)."""
+    return np.all(A <= B, axis=1) & np.any(A != B, axis=1)
+
+
+def run_mgd_batch(
+    problem: Problem,
+    X0: np.ndarray,
+    params: BacktrackParams,
+    dir_cfg: DirectionConfig,
+    K: Optional[int] = None,
+    record_trace: bool = True,
+) -> list[RunResult | Exception]:
+    """Run one multiple-gradient descent sequence from each row of ``X0``.
+
+    All live runs advance together: each iteration makes one batched
+    objective and one batched Jacobian call for the new iterates and one
+    objective call for every run's Armijo ladder, while each run's
+    direction LP is solved on its own.  A run stops, fails or stores a
+    point without affecting the others, and every run follows exactly the
+    iterates it would follow alone.
+
+    Returns one entry per start: its :class:`RunResult`, or the exception
+    that ended it, with the message prefixed by the iteration
+    ("iteration k: ...").
+    """
+    if K is None:
+        K = problem.default_max_iters
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    bt_new = params.variant is BacktrackVariant.BT_NEW
+    paper = params.paper_semantics
+    X0 = np.asarray(X0, dtype=float)
+    out: list[RunResult | Exception] = [None] * len(X0)
+    traces: list = [[] for _ in out]
+    stored: list = [([], []) for _ in out]
+
+    def record(k, j, x, f, d, eta, satisfied):
+        if record_trace:
+            traces[j].append(
+                TraceRecord(
+                    k=k,
+                    x=x,
+                    f=f,
+                    p_star=d.p_star,
+                    beta_star=d.beta_star,
+                    eta=eta,
+                    armijo_satisfied=satisfied,
+                    critical_case=d.case,
+                )
+            )
+
+    def finish(j, x, f, termination, iterations):
+        out[j] = RunResult(
+            trace=traces[j],
+            x_hat=x,
+            f_hat=f,
+            stored_set=_prune_stored(*stored[j], f),
+            termination=termination,
+            iterations=iterations,
+        )
+
+    def stop(k, mask, X, F, dirs, satisfied, termination):
+        # The runs where mask holds end at their current iterate, and
+        # iteration k is recorded as a zero step.
+        for i in np.flatnonzero(mask):
+            record(k, live[i], X[i], F[i], dirs[i], 0.0, satisfied)
+            finish(live[i], X[i], F[i], termination, k)
+
+    def drop_failed(k, errors):
+        # The runs of rows in errors fail; returns the mask of the others.
+        for i, exc in errors.items():
+            out[live[i]] = _at_iteration(k, exc)
+        keep = np.ones(len(live), dtype=bool)
+        keep[list(errors)] = False
+        return keep
+
+    # X, F and J are never written once made: each iteration makes new
+    # ones, so the rows handed out as trace and final points stay valid.
+    live = np.arange(len(X0))
+    F, J, errors = _evaluate_rows(problem, X0)
+    X = X0
+    if errors:
+        live, X, F, J = _rows(drop_failed(0, errors), live, X, F, J)
+
+    for k in range(K):
+        if not live.size:
+            break
+        dirs, errors = [], {}
+        for i in range(live.size):
+            try:
+                dirs.append(solve_direction(J[i], dir_cfg.variant, dir_cfg.epsilon))
+            except Exception as exc:
+                errors[i] = exc
+        if errors:
+            live, X, F, J = _rows(drop_failed(k, errors), live, X, F, J)
+            if not live.size:
+                break
+        P = np.array([d.p_star for d in dirs])
+
+        if not paper:
+            zero = np.abs(P).max(axis=1) <= TOL_ZERO_DIR
+            if zero.any():
+                stop(k, zero, X, F, dirs, True, Termination.ZERO_DIRECTION)
+                live, X, F, J, P, dirs = _rows(~zero, live, X, F, J, P, dirs)
+                if not live.size:
+                    break
+
+        try:
+            eta, sat = _armijo_ladder(problem, X, F, J, P, params)
+        except Exception:
+            # Retry run by run, so only runs whose own ladder fails fail.
+            eta, sat, errors = np.empty(live.size), np.empty(live.size, dtype=bool), {}
+            for i in range(live.size):
+                try:
+                    (eta[i],), (sat[i],) = _armijo_ladder(
+                        problem, X[i : i + 1], F[i : i + 1], J[i : i + 1], P[i : i + 1], params
+                    )
+                except Exception as exc:
+                    errors[i] = exc
+            keep = drop_failed(k, errors)
+            live, X, F, J, P, dirs, eta, sat = _rows(keep, live, X, F, J, P, dirs, eta, sat)
+
+        if not bt_new and not sat.all():
+            stop(k, ~sat, X, F, dirs, False, Termination.DOMINATED_STEP)
+            live, X, F, J, P, dirs, eta, sat = _rows(sat, live, X, F, J, P, dirs, eta, sat)
+
+        X_new = X + eta[:, None] * P
+        F_new, J_new, errors = _evaluate_rows(problem, X_new)
+        if errors:
+            keep = drop_failed(k, errors)
+            live, X, F, dirs, eta, sat, X_new, F_new, J_new = _rows(
+                keep, live, X, F, dirs, eta, sat, X_new, F_new, J_new
+            )
+
+        dominated = ~sat & _dominates_rows(F, F_new)
+        if dominated.any():
+            stop(k, dominated, X, F, dirs, False, Termination.DOMINATED_STEP)
+            live, X, F, dirs, eta, sat, X_new, F_new, J_new = _rows(
+                ~dominated, live, X, F, dirs, eta, sat, X_new, F_new, J_new
+            )
+
+        if bt_new:
+            # Copies of just the stored rows, so a stored point does not
+            # keep the whole iteration's arrays alive.
+            idx = np.flatnonzero(~_dominates_rows(F_new, F))
+            for j, x, f in zip(live[idx], X[idx], F[idx]):
+                stored[j][0].append(x)
+                stored[j][1].append(f)
+        if record_trace:
+            for i, (e, s) in enumerate(zip(eta.tolist(), sat.tolist())):
+                record(k, live[i], X[i], F[i], dirs[i], e, s)
+        X, F, J = X_new, F_new, J_new
+        if not paper:
+            # A fallback step of zero was accepted: the sequence is constant
+            # from here on; finishing the budget would change nothing.
+            still = eta != 0.0
+            if not still.all():
+                for i in np.flatnonzero(~still):
+                    finish(live[i], X[i], F[i], Termination.ZERO_DIRECTION, k)
+                live, X, F, J = _rows(still, live, X, F, J)
+
+    for i, j in enumerate(live):
+        finish(j, X[i], F[i], Termination.MAX_ITERS, K)
+    return out
 
 
 def run_mgd(
@@ -123,82 +370,15 @@ def run_mgd(
     K: Optional[int] = None,
     record_trace: bool = True,
 ) -> RunResult:
-    """Run one multiple-gradient descent sequence from ``x0``."""
-    if K is None:
-        K = problem.default_max_iters
-    if K < 1:
-        raise ValueError("K must be >= 1")
-
-    trace: list[TraceRecord] = []
-    stored_x: list[np.ndarray] = []
-    stored_f: list[np.ndarray] = []
-    termination = Termination.MAX_ITERS
-    bt_new = params.variant is BacktrackVariant.BT_NEW
-
-    def record(k, ev, d, eta, satisfied):
-        if record_trace:
-            trace.append(
-                TraceRecord(
-                    k=k,
-                    x=ev.x,
-                    f=ev.f,
-                    p_star=d.p_star,
-                    beta_star=d.beta_star,
-                    eta=eta,
-                    armijo_satisfied=satisfied,
-                    critical_case=d.case,
-                )
-            )
-
-    try:
-        ev = evaluate(problem, np.asarray(x0, dtype=float))
-    except Exception as exc:
-        raise type(exc)(f"iteration 0: {exc}") from exc
-
-    for k in range(K):
-        try:
-            d = solve_direction(ev.jac, dir_cfg.variant, dir_cfg.epsilon)
-            if not params.paper_semantics and np.abs(d.p_star).max() <= TOL_ZERO_DIR:
-                record(k, ev, d, 0.0, True)
-                termination = Termination.ZERO_DIRECTION
-                break
-
-            eta, x_new, satisfied = backtrack(problem, ev, d.p_star, params)
-            if not satisfied and not bt_new:
-                record(k, ev, d, 0.0, False)
-                termination = Termination.DOMINATED_STEP
-                break
-            ev_new = evaluate(problem, x_new)
-            if not satisfied and dominates(ev.f, ev_new.f):
-                record(k, ev, d, 0.0, False)
-                termination = Termination.DOMINATED_STEP
-                break
-        except Exception as exc:
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            raise type(exc)(f"iteration {k}: {exc}") from exc
-
-        if bt_new and not dominates(ev_new.f, ev.f):
-            stored_x.append(ev.x)
-            stored_f.append(ev.f)
-        record(k, ev, d, eta, satisfied)
-        ev = ev_new
-        if eta == 0.0 and not params.paper_semantics:
-            # Fallback step of zero accepted: the sequence is constant from
-            # here on; finishing the budget would change nothing.
-            termination = Termination.ZERO_DIRECTION
-            break
-    else:
-        k = K  # the budget is used up: all K steps were taken
-
-    return RunResult(
-        trace=trace,
-        x_hat=ev.x,
-        f_hat=ev.f,
-        stored_set=_prune_stored(stored_x, stored_f, ev.f),
-        termination=termination,
-        iterations=k,
+    """Run one multiple-gradient descent sequence from ``x0``: the
+    one-start case of :func:`run_mgd_batch`, raising the exception that
+    ends the run."""
+    (result,) = run_mgd_batch(
+        problem, np.asarray(x0, dtype=float)[None], params, dir_cfg, K, record_trace
     )
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _prune_stored(

@@ -12,12 +12,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import dominates
-from .descent import (
+# run_mgd stays importable here: bench/instrument.py wraps harness.run_mgd.
+from .descent import (  # noqa: F401
     BacktrackParams,
     BacktrackVariant,
     RunResult,
     Termination,
     run_mgd,
+    run_mgd_batch,
 )
 from .direction import DirectionConfig, DirectionVariant
 from .metrics import global_pareto_ratio, nondominated_filter
@@ -43,12 +45,14 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     emit_traces: bool = False
     trace_format: str = "csv"
-    workers: int = 0  # 0: serial; >1: process pool
+    workers: int = 0  # 0 or 1: in-process; >1: the starts in that many pool jobs
     paper_semantics: bool = False
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.trace_format not in ("csv", "json"):
             raise ValueError("trace_format must be 'csv' or 'json'")
         if not self.directions or not self.backtrackings:
@@ -107,10 +111,10 @@ def run_output_set(result: RunResult, backtracking: BacktrackVariant) -> list:
     return nondominated_filter([final] + list(result.stored_set))
 
 
-def _run_one(args):
-    problem_name, x0, params, dir_cfg, K = args
+def _run_chunk(args):
+    problem_name, X0, params, dir_cfg, K = args
     problem = get_problem(problem_name)
-    return run_mgd(problem, x0, params, dir_cfg, K=K, record_trace=False)
+    return run_mgd_batch(problem, X0, params, dir_cfg, K=K, record_trace=False)
 
 
 def run_variant(
@@ -120,37 +124,42 @@ def run_variant(
     starts: np.ndarray,
     record_trace: bool = False,
 ) -> tuple[list, list]:
-    """All runs of one variant over the shared starts.
+    """All runs of one variant over the shared starts, advanced in lockstep.
 
-    Returns (results, failures) where results has one entry per start
-    (None where the run failed) and failures is a list of (index, message).
+    With ``config.workers > 1`` (and no traces) the starts are split into
+    that many chunks, one pool job each.  Returns (results, failures)
+    where results has one entry per start (None where the run failed) and
+    failures is a list of (index, message).
     """
-    problem = get_problem(config.problem)
     params = config.backtrack_params(backtracking)
     dir_cfg = config.direction_config(direction)
     K = config.max_iters
 
+    if config.workers > 1 and not record_trace:
+        chunks = [c for c in np.array_split(starts, config.workers) if len(c)]
+        outcomes: list = []
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            futures = [
+                pool.submit(_run_chunk, (config.problem, X0, params, dir_cfg, K))
+                for X0 in chunks
+            ]
+            for X0, fut in zip(chunks, futures):
+                try:
+                    outcomes.extend(fut.result())
+                except Exception as exc:  # the job died: each of its runs failed
+                    outcomes.extend([exc] * len(X0))
+    else:
+        problem = get_problem(config.problem)
+        outcomes = run_mgd_batch(problem, starts, params, dir_cfg, K=K, record_trace=record_trace)
+
     results: list = []
     failures: list = []
-    if config.workers > 1 and not record_trace:
-        jobs = [(config.problem, x0, params, dir_cfg, K) for x0 in starts]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_one, job) for job in jobs]
-            for j, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    results.append(None)
-                    failures.append((j, f"run {j}: {exc}"))
-    else:
-        for j, x0 in enumerate(starts):
-            try:
-                results.append(
-                    run_mgd(problem, x0, params, dir_cfg, K=K, record_trace=record_trace)
-                )
-            except Exception as exc:
-                results.append(None)
-                failures.append((j, f"run {j}: {exc}"))
+    for j, outcome in enumerate(outcomes):
+        if isinstance(outcome, RunResult):
+            results.append(outcome)
+        else:
+            results.append(None)
+            failures.append((j, f"run {j}: {outcome}"))
     return results, failures
 
 

@@ -11,9 +11,10 @@ from .core import Problem
 
 def _ff_f_batch(a: float):
     def f_batch(X: np.ndarray) -> np.ndarray:
-        s1 = np.sum((X - a) ** 2, axis=1)
-        s2 = np.sum((X + a) ** 2, axis=1)
-        return np.column_stack([1.0 - np.exp(-s1), 1.0 - np.exp(-s2)])
+        D1, D2 = X - a, X + a
+        return np.column_stack(
+            [1.0 - np.exp(-np.vecdot(D1, D1)), 1.0 - np.exp(-np.vecdot(D2, D2))]
+        )
 
     return f_batch
 
@@ -56,8 +57,8 @@ def fonseca_fleming(n: int = 3) -> Problem:
 
 
 def _kursawe_f_batch(X: np.ndarray) -> np.ndarray:
-    s1 = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
-    s2 = np.sqrt(X[:, 1] ** 2 + X[:, 2] ** 2)
+    s1 = np.hypot(X[:, 0], X[:, 1])
+    s2 = np.hypot(X[:, 1], X[:, 2])
     f1 = -10.0 * (np.exp(-0.2 * s1) + np.exp(-0.2 * s2))
     f2 = np.sum(np.abs(X) ** 0.8 + 5.0 * np.sin(X**3), axis=1)
     return np.column_stack([f1, f2])
@@ -131,16 +132,19 @@ def _viennet_evaluator(x: np.ndarray):
     r2 = x1 * x1 + x2 * x2
     u = 3.0 * x1 - 2.0 * x2 + 4.0
     v = x1 - x2 + 1.0
+    q = r2 + 1.0
     er = np.exp(-r2)
     f = np.array(
         [
             0.5 * r2 + np.sin(r2),
             u * u / 8.0 + v * v / 27.0 + 15.0,
-            1.0 / (r2 + 1.0) - 1.1 * er,
+            1.0 / q - 1.1 * er,
         ]
     )
     a1 = 1.0 + 2.0 * np.cos(r2)
-    a3 = 2.0 * (1.1 * er - 1.0 / (r2 + 1.0) ** 2)
+    # q * q, not q ** 2: a numpy scalar's ** 2 goes through pow and can
+    # round apart from the array square that _viennet_jac_batch takes.
+    a3 = 2.0 * (1.1 * er - 1.0 / (q * q))
     jac = np.array(
         [
             [a1 * x1, a1 * x2],

@@ -3,15 +3,31 @@
 None of this runs in an experiment.  Each function restates a quantity
 the library computes by other means, so the tests can compare the two:
 criticality by sampling directions, LP optima by enumerating vertices,
-Jacobians by central differences, lp-new's normalized rows, and the
-critical-region scan cell by cell.
+Jacobians by central differences, lp-new's normalized rows, the
+critical-region scan cell by cell, and the descent one start at a time.
 """
 
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
-from mgdkit import Evaluation, LpSpec, Problem
+from mgdkit import (
+    BacktrackParams,
+    BacktrackVariant,
+    DirectionConfig,
+    Evaluation,
+    LpSpec,
+    Problem,
+    RunResult,
+    Termination,
+    dominates,
+    evaluate,
+    nondominated_mask,
+    solve_direction,
+)
+from mgdkit.descent import TraceRecord
+from mgdkit.direction import TOL_ZERO_DIR
 
 
 class OracleInfeasible(Exception):
@@ -130,3 +146,107 @@ def critical_region_scan_oracle(
             continue
         mask[idx] = np.linalg.norm(gi / ni + gj / nj) < tol
     return mask.reshape(resolution)
+
+
+def _backtrack_oracle(
+    problem: Problem, ev: Evaluation, p: np.ndarray, params: BacktrackParams
+) -> tuple[float, np.ndarray, bool]:
+    """The Armijo ladder of one run: the first step eta0 * alpha**t that
+    decreases every objective enough, else the fallback step."""
+    x, f, slopes = ev.x, ev.f, ev.jac @ p
+    etas = params._ladder
+    F = problem.eval_f_batch(x + etas[:, None] * p)
+    ok = np.all(F <= f + etas[:, None] * (params.c1 * slopes), axis=1)
+    hits = np.nonzero(ok)[0]
+    if hits.size:
+        eta = float(etas[hits[0]])
+        return eta, x + eta * p, True
+    eta = params.fallback_step
+    return eta, x + eta * p, False
+
+
+def run_mgd_oracle(
+    problem: Problem,
+    x0: np.ndarray,
+    params: BacktrackParams,
+    dir_cfg: DirectionConfig,
+    K: Optional[int] = None,
+    record_trace: bool = True,
+) -> RunResult:
+    """One multiple-gradient descent sequence from ``x0``, one iteration at
+    a time through ``evaluate``: the reference for ``run_mgd_batch``."""
+    if K is None:
+        K = problem.default_max_iters
+    if K < 1:
+        raise ValueError("K must be >= 1")
+
+    trace: list[TraceRecord] = []
+    stored_x: list[np.ndarray] = []
+    stored_f: list[np.ndarray] = []
+    termination = Termination.MAX_ITERS
+    bt_new = params.variant is BacktrackVariant.BT_NEW
+
+    def record(k, ev, d, eta, satisfied):
+        if record_trace:
+            trace.append(
+                TraceRecord(
+                    k=k,
+                    x=ev.x,
+                    f=ev.f,
+                    p_star=d.p_star,
+                    beta_star=d.beta_star,
+                    eta=eta,
+                    armijo_satisfied=satisfied,
+                    critical_case=d.case,
+                )
+            )
+
+    try:
+        ev = evaluate(problem, np.asarray(x0, dtype=float))
+    except Exception as exc:
+        raise type(exc)(f"iteration 0: {exc}") from exc
+
+    for k in range(K):
+        try:
+            d = solve_direction(ev.jac, dir_cfg.variant, dir_cfg.epsilon)
+            if not params.paper_semantics and np.abs(d.p_star).max() <= TOL_ZERO_DIR:
+                record(k, ev, d, 0.0, True)
+                termination = Termination.ZERO_DIRECTION
+                break
+
+            eta, x_new, satisfied = _backtrack_oracle(problem, ev, d.p_star, params)
+            if not satisfied and not bt_new:
+                record(k, ev, d, 0.0, False)
+                termination = Termination.DOMINATED_STEP
+                break
+            ev_new = evaluate(problem, x_new)
+            if not satisfied and dominates(ev.f, ev_new.f):
+                record(k, ev, d, 0.0, False)
+                termination = Termination.DOMINATED_STEP
+                break
+        except Exception as exc:
+            raise type(exc)(f"iteration {k}: {exc}") from exc
+
+        if bt_new and not dominates(ev_new.f, ev.f):
+            stored_x.append(ev.x)
+            stored_f.append(ev.f)
+        record(k, ev, d, eta, satisfied)
+        ev = ev_new
+        if eta == 0.0 and not params.paper_semantics:
+            termination = Termination.ZERO_DIRECTION
+            break
+    else:
+        k = K
+
+    stored_set = []
+    if stored_f:
+        keep = nondominated_mask(np.vstack([np.array(stored_f), ev.f[None, :]]))[:-1]
+        stored_set = [(x, f) for x, f, kept in zip(stored_x, stored_f, keep) if kept]
+    return RunResult(
+        trace=trace,
+        x_hat=ev.x,
+        f_hat=ev.f,
+        stored_set=stored_set,
+        termination=termination,
+        iterations=k,
+    )

@@ -1,9 +1,12 @@
 """Tests for backtracking line search and the descent loops."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mgdkit import (
+    PROBLEMS,
     BacktrackParams,
     BacktrackVariant,
     CriticalityCase,
@@ -18,11 +21,13 @@ from mgdkit import (
     evaluate,
     get_problem,
     run_mgd,
+    run_mgd_batch,
     sample_starts,
     solve_direction,
     StartSampler,
 )
 from mgdkit.descent import TraceRecord
+from oracles import run_mgd_oracle
 
 LP_NEW = DirectionConfig(variant=DirectionVariant.LP_NEW)
 LP_BASE = DirectionConfig(variant=DirectionVariant.LP_BASE)
@@ -303,6 +308,52 @@ class TestRunMgd:
         prob = _problem_single_quadratic()
         with pytest.raises(ValueError):
             run_mgd(prob, np.zeros(2), BacktrackParams(), LP_NEW, K=0)
+
+
+def assert_same_run(got, expected):
+    """Every RunResult field, each TraceRecord included, exactly equal."""
+    assert got.termination is expected.termination
+    assert got.iterations == expected.iterations
+    assert np.array_equal(got.x_hat, expected.x_hat)
+    assert np.array_equal(got.f_hat, expected.f_hat)
+    assert len(got.stored_set) == len(expected.stored_set)
+    for (xa, fa), (xb, fb) in zip(got.stored_set, expected.stored_set):
+        assert np.array_equal(xa, xb) and np.array_equal(fa, fb)
+    assert len(got.trace) == len(expected.trace)
+    for a, b in zip(got.trace, expected.trace):
+        for name in TraceRecord.__dataclass_fields__:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_matches_one_start_oracle(self, name):
+        # 12 starts advanced together give, run for run, what each start
+        # gives alone.  At K = 40 every termination kind occurs, so runs
+        # leave the batch at different iterations.
+        prob = get_problem(name)
+        starts = sample_starts(StartSampler(prob.domain_box, 12, 3))
+        backtrackings = [
+            dict(variant=BacktrackVariant.BT_BASE),
+            dict(variant=BacktrackVariant.BT_NEW),
+            dict(variant=BacktrackVariant.BT_NEW, eta_hat=0.0),
+        ]
+        seen = set()
+        for bt, cfg, record, paper in itertools.product(
+            backtrackings, (LP_BASE, LP_NEW), (True, False), (False, True)
+        ):
+            params = BacktrackParams(paper_semantics=paper, **bt)
+            runs = run_mgd_batch(prob, starts, params, cfg, K=40, record_trace=record)
+            assert len(runs) == len(starts)
+            for x0, run in zip(starts, runs):
+                expected = run_mgd_oracle(prob, x0, params, cfg, K=40, record_trace=record)
+                assert_same_run(run, expected)
+                seen.add(run.termination)
+        assert seen == set(Termination)
+
+    def test_no_starts(self):
+        prob = get_problem("kursawe")
+        assert run_mgd_batch(prob, np.zeros((0, 3)), BacktrackParams(), LP_NEW, K=5) == []
 
 
 def _rec(k, eta, satisfied, case):

@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, persistence, and the CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -10,18 +11,29 @@ from mgdkit import (
     BacktrackVariant,
     DirectionVariant,
     ExperimentConfig,
+    StartSampler,
     critical_region_scan,
     get_problem,
     run_experiment,
+    sample_starts,
 )
+import mgdkit.harness as harness_mod
+import mgdkit.problems as problems_mod
 from mgdkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from mgdkit.harness import (
     _json_text,
     parse_config_file,
     report_to_dict,
     report_to_text,
+    run_variant,
     variant_label,
 )
+from oracles import run_mgd_oracle
+from test_descent import assert_same_run
+
+
+def _dying_chunk(args):
+    os._exit(3)  # a worker that dies in the middle of its job
 
 
 def _small_config(**overrides):
@@ -44,6 +56,9 @@ class TestConfig:
             _small_config(trace_format="xml")
         with pytest.raises(ValueError):
             _small_config(directions=())
+        for max_iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters"):
+                _small_config(max_iters=max_iters)
 
     def test_defaults_match_experiment_protocol(self):
         config = ExperimentConfig(problem="kursawe")
@@ -112,7 +127,7 @@ class TestRunExperiment:
 
         import dataclasses
 
-        broken = dataclasses.replace(bad, evaluator=exploding)
+        broken = dataclasses.replace(bad, evaluator=exploding, f_batch=None, jac_batch=None)
         original = problems_mod.PROBLEMS["fonseca-fleming"]
         problems_mod.PROBLEMS["fonseca-fleming"] = lambda: broken
         try:
@@ -122,6 +137,72 @@ class TestRunExperiment:
         for v in report.variants:
             assert v.failures > 0
             assert any("run" in msg for msg in v.failure_messages)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failures_match_one_start_oracle(self, monkeypatch, workers):
+        # Runs that raise, or reach a non-finite value, at iteration 0 or
+        # later, or whose own Armijo ladder raises, fail with the messages
+        # they fail with alone; every other run is unaffected.
+        base = problems_mod.fonseca_fleming(3)
+
+        def evaluator(x):
+            if x[0] > 0.55:
+                raise RuntimeError("synthetic failure")
+            f, jac = base.evaluator(x)
+            if x[1] < -0.35:
+                f = np.array([f[0], np.nan])
+            return f, jac
+
+        def f_batch(X):
+            if (X[:, 2] > 1.8).any():
+                raise RuntimeError("ladder failure")
+            F = base.f_batch(X)
+            F[X[:, 1] < -0.35, 1] = np.nan
+            return F
+
+        def jac_batch(X):
+            if (X[:, 0] > 0.55).any():
+                raise RuntimeError("synthetic failure")
+            return base.jac_batch(X)
+
+        faulty = dataclasses.replace(
+            base, evaluator=evaluator, f_batch=f_batch, jac_batch=jac_batch
+        )
+        monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: faulty)
+        config = _small_config(n_starts=32, seed=6, max_iters=30, workers=workers)
+        starts = sample_starts(StartSampler(faulty.domain_box, 32, 6))
+        causes, late = set(), False
+        for backtracking in BacktrackVariant:
+            for direction in DirectionVariant:
+                results, failures = run_variant(config, direction, backtracking, starts)
+                messages = dict(failures)
+                params = config.backtrack_params(backtracking)
+                dir_cfg = config.direction_config(direction)
+                for j, x0 in enumerate(starts):
+                    try:
+                        expected = run_mgd_oracle(faulty, x0, params, dir_cfg, K=30,
+                                                  record_trace=False)
+                    except Exception as exc:
+                        assert results[j] is None
+                        assert messages[j] == f"run {j}: {exc}"
+                        causes.add(str(exc).split(": ", 1)[1].split()[0])
+                        late |= not str(exc).startswith("iteration 0:")
+                    else:
+                        assert j not in messages
+                        assert_same_run(results[j], expected)
+        assert causes == {"synthetic", "ladder", "objective"} and late
+
+    def test_dead_chunk_fails_each_of_its_runs(self, monkeypatch):
+        monkeypatch.setattr(harness_mod, "_run_chunk", _dying_chunk)
+        config = _small_config(n_starts=5, workers=2)
+        starts = np.zeros((5, 3))
+        results, failures = run_variant(
+            config, DirectionVariant.LP_NEW, BacktrackVariant.BT_NEW, starts
+        )
+        assert results == [None] * 5
+        assert [j for j, _ in failures] == list(range(5))
+        for j, msg in failures:
+            assert msg.startswith(f"run {j}: ") and "terminated abruptly" in msg
 
     def test_parallel_matches_serial(self, tmp_path):
         # A 2-worker pool writes byte-identical front files and the same
@@ -260,6 +341,13 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == EXIT_USAGE
         assert main(["run", "--problem", "nope"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_max_iters_is_usage_error(self, capsys, value):
+        argv = ["run", "--problem", "fonseca-fleming", "--n-starts", "2",
+                "--max-iters", value, "--workers", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "max_iters must be >= 1" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")

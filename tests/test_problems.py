@@ -10,7 +10,9 @@ from mgdkit import (
     evaluate,
     fonseca_fleming,
     get_problem,
+    kursawe,
     sample_starts,
+    viennet,
 )
 from oracles import finite_difference_jacobian
 
@@ -180,12 +182,17 @@ def _points_with_zeros(prob, count, seed):
 
 
 class TestBatchedJacobian:
+    # The descent evaluates its iterates through the batched kernels, so
+    # they must give the evaluator's values bit for bit.
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_fonseca_fleming_bit_identical_to_evaluator(self, n):
         self._check_bit_identical(fonseca_fleming(n))
 
     def test_kursawe_bit_identical_to_evaluator(self):
         self._check_bit_identical(get_problem("kursawe"))
+
+    def test_viennet_bit_identical_to_evaluator(self):
+        self._check_bit_identical(get_problem("viennet"))
 
     @staticmethod
     def _check_bit_identical(prob):
@@ -195,15 +202,15 @@ class TestBatchedJacobian:
         assert J.shape == expected.shape == (len(X), prob.m, prob.n)
         assert J.tobytes() == expected.tobytes()
 
-    def test_viennet_close_to_evaluator(self):
-        # A scalar np.float64 ** 2 and an array square can round apart in
-        # the last bit, so f3's row may differ there.
-        prob = get_problem("viennet")
-        X = _points_with_zeros(prob, 2000, 41)
-        J = prob.jac_batch(X)
-        expected = np.array([prob.evaluator(x)[1] for x in X])
-        assert J.shape == expected.shape == (len(X), 3, 2)
-        np.testing.assert_allclose(J, expected, rtol=1e-12, atol=1e-14)
+    @pytest.mark.parametrize("prob", [fonseca_fleming(1), fonseca_fleming(3),
+                                      fonseca_fleming(5), kursawe(), viennet()],
+                             ids=lambda prob: f"{prob.name}-{prob.n}")
+    def test_f_batch_bit_identical_to_evaluator(self, prob):
+        X = _points_with_zeros(prob, 20000, 42)
+        F = prob.f_batch(X)
+        expected = np.array([prob.evaluator(x)[0] for x in X])
+        assert F.shape == expected.shape == (len(X), prob.m)
+        assert F.tobytes() == expected.tobytes()
 
     def test_evaluator_only_problem_falls_back(self):
         a = np.array([[2.0, -3.0], [1.0, 0.5], [0.0, 4.0]])
