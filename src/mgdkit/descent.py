@@ -20,7 +20,14 @@ import numpy as np
 
 # dominates stays importable here: bench/instrument.py wraps descent.dominates.
 from .core import Evaluation, Problem, dominates, evaluate  # noqa: F401
-from .direction import TOL_ZERO_DIR, CriticalityCase, DirectionConfig, solve_direction
+from .direction import (
+    _BATCH_MIN_WIDTH,
+    TOL_ZERO_DIR,
+    CriticalityCase,
+    DirectionConfig,
+    _solve_batch,
+    solve_direction,
+)
 from .metrics import nondominated_mask
 
 
@@ -212,10 +219,12 @@ def run_mgd_batch(
 
     All live runs advance together: each iteration makes one batched
     objective and one batched Jacobian call for the new iterates and one
-    objective call for every run's Armijo ladder, while each run's
-    direction LP is solved on its own.  A run stops, fails or stores a
-    point without affecting the others, and every run follows exactly the
-    iterates it would follow alone.
+    objective call for every run's Armijo ladder.  The direction LPs of
+    the live runs are solved by one batched simplex while at least
+    ``_BATCH_MIN_WIDTH`` runs are live, and one by one below that width,
+    where the batch does not pay; both give each run the same direction.
+    A run stops, fails or stores a point without affecting the others,
+    and every run follows exactly the iterates it would follow alone.
 
     Returns one entry per start: its :class:`RunResult`, or the exception
     that ended it, with the message prefixed by the iteration
@@ -283,12 +292,17 @@ def run_mgd_batch(
     for k in range(K):
         if not live.size:
             break
-        dirs, errors = [], {}
-        for i in range(live.size):
-            try:
-                dirs.append(solve_direction(J[i], dir_cfg.variant, dir_cfg.epsilon))
-            except Exception as exc:
-                errors[i] = exc
+        if live.size >= _BATCH_MIN_WIDTH:
+            solved = _solve_batch(J, dir_cfg.variant, dir_cfg.epsilon)
+        else:
+            solved = []
+            for i in range(live.size):
+                try:
+                    solved.append(solve_direction(J[i], dir_cfg.variant, dir_cfg.epsilon))
+                except Exception as exc:
+                    solved.append(exc)
+        errors = {i: d for i, d in enumerate(solved) if isinstance(d, Exception)}
+        dirs = [d for d in solved if not isinstance(d, Exception)]
         if errors:
             live, X, F, J = _rows(drop_failed(k, errors), live, X, F, J)
             if not live.size:

@@ -16,10 +16,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lp import LpStatus, SolverFailure, _simplex_core
+from .lp import LpStatus, SolverFailure, _simplex_batch, _simplex_core
 
 TOL_GRAD = 1e-12  # lp-new drops gradient rows with norm <= this
 TOL_ZERO_DIR = 1e-9  # beta*, cone minima and |p|inf within this of 0 count as 0
+
+# From this many Jacobians per call on, one batched simplex beats a scalar
+# solve per Jacobian (crossover measured per LP on descent Jacobians; see
+# CHANGES.md).  Below it the descent loop solves them one by one.
+_BATCH_MIN_WIDTH = 16
 
 
 class DirectionVariant(Enum):
@@ -192,6 +197,112 @@ def _classify_critical(
     return CriticalityCase.CRITICAL_ZERO_ONLY
 
 
+def _seq_sum(terms):
+    """((0.0 + t0) + t1) + ...: the order in which Python's ``sum`` adds
+    floats (CPython before 3.12, whose ``sum`` compensates), elementwise."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
+def _solve_alone(jac, variant, epsilon):
+    """solve_direction's result, or the exception it raises."""
+    try:
+        return solve_direction(jac, variant, epsilon)
+    except Exception as exc:
+        return exc
+
+
+def _solve_batch(
+    J: np.ndarray,
+    variant: DirectionVariant = DirectionVariant.LP_NEW,
+    epsilon: float = 1.0,
+) -> list:
+    """:func:`solve_direction` for each Jacobian of ``J`` (W, m, n), with
+    one batched simplex for all of them.
+
+    Returns, per Jacobian, the DirectionResult solve_direction returns or
+    the exception it raises, equal to the bit: the preparation repeats
+    its arithmetic elementwise (sums in Python's order, square roots,
+    quotients) and ``_simplex_batch`` repeats ``_simplex_core``'s pivots.
+    The rare cases go to solve_direction itself: Jacobians with a
+    non-finite entry, lp-new Jacobians with a row dropped for its norm,
+    and LPs left with a redundant row after phase 1.  Critical results
+    are classified one by one, as in solve_direction.
+    """
+    J = np.asarray(J, dtype=float)
+    W, m, n = J.shape
+    if m == 0 or n == 0:
+        return [_solve_alone(jac, variant, epsilon) for jac in J]
+    lp_new = variant is DirectionVariant.LP_NEW
+    alone = ~np.isfinite(J).all(axis=(1, 2))
+    with np.errstate(all="ignore"):
+        g = _seq_sum(J[:, i] for i in range(m))
+        if lp_new:
+            norms = np.sqrt(_seq_sum(J[:, :, j] * J[:, :, j] for j in range(n)))
+            alone |= (norms <= TOL_GRAD).any(axis=1)
+            box = np.maximum(np.abs(J).max(axis=(1, 2)), np.abs(g).max(axis=1))
+            c_beta = np.sqrt(_seq_sum(g[:, j] * g[:, j] for j in range(n))) + epsilon
+            G, c_p = J / norms[:, :, None], g
+        else:
+            box, c_beta, G, c_p = np.ones(W), np.ones(W), J, np.zeros((W, n))
+        lps = np.flatnonzero(~alone)
+        if alone.any():
+            box, c_beta, G, c_p, g = box[lps], c_beta[lps], G[lps], c_p[lps], g[lps]
+        # _fast_direction_lp's standard form: p shifted by +box onto
+        # [0, 2*box], beta entering as -y with y >= 0.
+        cols = np.arange(n)
+        As = np.zeros((lps.size, m + n, n + 1))
+        As[:, :m, :n] = G
+        As[:, :m, n] = 1.0
+        As[:, m + cols, cols] = 1.0
+        bs = np.empty((lps.size, m + n))
+        bs[:, :m] = box[:, None] * _seq_sum(G[:, :, j] for j in range(n))
+        bs[:, m:] = (2.0 * box)[:, None]
+        Y, outcomes = _simplex_batch(np.concatenate([c_p, -c_beta[:, None]], axis=1), As, bs)
+        P = Y[:, :n] - box[:, None]
+
+    out: list = [None] * W
+    for w in np.flatnonzero(alone).tolist():
+        out[w] = _solve_alone(J[w], variant, epsilon)
+    for k, (w, beta, gam, cb) in enumerate(
+        zip(lps.tolist(), (-Y[:, n]).tolist(), box.tolist(), c_beta.tolist())
+    ):
+        if k in outcomes:
+            status = outcomes[k]
+            if status is None:
+                out[w] = _solve_alone(J[w], variant, epsilon)
+            elif isinstance(status, LpStatus):
+                out[w] = SolverFailure(f"direction LP ended with status {status.value}")
+            else:
+                out[w] = status
+            continue
+        if beta < -TOL_ZERO_DIR:
+            case = CriticalityCase.NOT_CRITICAL
+        else:
+            p = P[k].tolist()
+            value = sum(ci * pi for ci, pi in zip(c_p[k].tolist(), p))
+            value += cb * beta
+            try:
+                case = _classify_critical(
+                    g[k].tolist(), G[k].tolist(), gam, p, beta, value, variant,
+                    cb if lp_new else None,
+                )
+            except Exception as exc:
+                out[w] = exc
+                continue
+        out[w] = DirectionResult(
+            p_star=P[k],
+            beta_star=beta,
+            dropped_rows=(),
+            case=case,
+            gamma=gam,
+            c_beta=cb if lp_new else None,
+        )
+    return out
+
+
 def solve_blockwise(
     jacs: Sequence[np.ndarray],
     variant: DirectionVariant = DirectionVariant.LP_NEW,
@@ -199,15 +310,25 @@ def solve_blockwise(
 ) -> list[DirectionResult]:
     """Solve independent direction subproblems, one per Jacobian, in order.
 
-    Each block is solved by :func:`solve_direction` on its own; a solver
-    failure is re-raised with the index of the failing block.
+    The blocks of each shape are stacked and solved by one batched simplex
+    (``_solve_batch``), which gives every block what :func:`solve_direction`
+    gives it alone.  The first failing block's solver failure is re-raised
+    with the block's index.
     """
     if len(jacs) == 0:
         raise ValueError("jacs must be non-empty")
-    out = []
+    jacs = [np.asarray(jac, dtype=float) for jac in jacs]
+    shapes: dict = {}
     for i, jac in enumerate(jacs):
-        try:
-            out.append(solve_direction(jac, variant, epsilon))
-        except SolverFailure as exc:
-            raise SolverFailure(f"block {i}: {exc}") from exc
+        shapes.setdefault(jac.shape, []).append(i)
+    out: list = [None] * len(jacs)
+    for idx in shapes.values():
+        solved = _solve_batch(np.stack([jacs[i] for i in idx]), variant, epsilon)
+        for i, res in zip(idx, solved):
+            out[i] = res
+    for i, res in enumerate(out):
+        if isinstance(res, SolverFailure):
+            raise SolverFailure(f"block {i}: {res}") from res
+        if isinstance(res, Exception):
+            raise res
     return out

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -81,6 +83,7 @@ class VariantResult:
     failures: int
     failure_messages: tuple
     wall_time: float
+    failure_causes: dict = field(default_factory=dict)  # exception type name -> runs
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,42 @@ def run_output_set(result: RunResult, backtracking: BacktrackVariant) -> list:
     return nondominated_filter([final] + list(result.stored_set))
 
 
+class RunFailure(tuple):
+    """A failed run: the pair (index, message), as it unpacks, and in
+    ``cause`` the name of the exception type that ended the run."""
+
+    def __new__(cls, index: int, message: str, cause: str):
+        failure = super().__new__(cls, (index, message))
+        failure.cause = cause
+        return failure
+
+
 def _run_chunk(args):
     problem_name, X0, params, dir_cfg, K = args
     problem = get_problem(problem_name)
     return run_mgd_batch(problem, X0, params, dir_cfg, K=K, record_trace=False)
+
+
+def _pooled(pool, jobs: list) -> list:
+    """The outcomes of ``_run_chunk`` over ``jobs`` in ``pool``, one per
+    start.  The runs of a job that dies, or that a broken pool refuses,
+    each fail with that cause."""
+    futures = []
+    for args in jobs:
+        try:
+            futures.append(pool.submit(_run_chunk, args))
+        except Exception as exc:  # a broken pool takes no new jobs
+            futures.append(exc)
+    outcomes: list = []
+    for args, fut in zip(jobs, futures):
+        if not isinstance(fut, Exception):
+            try:
+                outcomes.extend(fut.result())
+                continue
+            except Exception as exc:
+                fut = exc
+        outcomes.extend([fut] * len(args[1]))
+    return outcomes
 
 
 def run_variant(
@@ -123,31 +158,32 @@ def run_variant(
     backtracking: BacktrackVariant,
     starts: np.ndarray,
     record_trace: bool = False,
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> tuple[list, list]:
     """All runs of one variant over the shared starts, advanced in lockstep.
 
     With ``config.workers > 1`` (and no traces) the starts are split into
-    that many chunks, one pool job each.  Returns (results, failures)
-    where results has one entry per start (None where the run failed) and
-    failures is a list of (index, message).
+    that many chunks, one job each in ``pool``, or in a pool of its own
+    when none is given.  Returns (results, failures) where results has one
+    entry per start (None where the run failed) and failures is a list of
+    :class:`RunFailure`, (index, message) pairs.
     """
     params = config.backtrack_params(backtracking)
     dir_cfg = config.direction_config(direction)
     K = config.max_iters
 
     if config.workers > 1 and not record_trace:
-        chunks = [c for c in np.array_split(starts, config.workers) if len(c)]
-        outcomes: list = []
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, (config.problem, X0, params, dir_cfg, K))
-                for X0 in chunks
-            ]
-            for X0, fut in zip(chunks, futures):
-                try:
-                    outcomes.extend(fut.result())
-                except Exception as exc:  # the job died: each of its runs failed
-                    outcomes.extend([exc] * len(X0))
+        jobs = [
+            (config.problem, X0, params, dir_cfg, K)
+            for X0 in np.array_split(starts, config.workers)
+            if len(X0)
+        ]
+        with (
+            ProcessPoolExecutor(max_workers=config.workers)
+            if pool is None
+            else contextlib.nullcontext(pool)
+        ) as pool:
+            outcomes = _pooled(pool, jobs)
     else:
         problem = get_problem(config.problem)
         outcomes = run_mgd_batch(problem, starts, params, dir_cfg, K=K, record_trace=record_trace)
@@ -159,7 +195,7 @@ def run_variant(
             results.append(outcome)
         else:
             results.append(None)
-            failures.append((j, f"run {j}: {outcome}"))
+            failures.append(RunFailure(j, f"run {j}: {outcome}", type(outcome).__name__))
     return results, failures
 
 
@@ -169,7 +205,9 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
     Returns the report, or (report, per-variant results dict) when
     ``keep_results`` is set.  Failed runs contribute empty output sets and
     are counted in the report.  With an output directory configured, the
-    report (and traces, if requested) are written there.
+    report (and traces, if requested) are written there.  With
+    ``config.workers > 1`` and no traces, every variant runs in one shared
+    worker pool.
     """
     problem = get_problem(config.problem)
     starts = sample_starts(
@@ -179,34 +217,41 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
     t_total = time.perf_counter()
     variants = []
     all_results = {}
-    for backtracking in config.backtrackings:
-        for direction in config.directions:
-            t0 = time.perf_counter()
-            results, failures = run_variant(
-                config, direction, backtracking, starts, record_trace=config.emit_traces
-            )
-            outputs = [
-                run_output_set(r, backtracking) if r is not None else []
-                for r in results
-            ]
-            ratio = global_pareto_ratio(outputs)
-            counts: dict = {t.value: 0 for t in Termination}
-            for r in results:
-                if r is not None:
-                    counts[r.termination.value] += 1
-            variants.append(
-                VariantResult(
-                    direction=direction,
-                    backtracking=backtracking,
-                    pareto_ratio=ratio,
-                    termination_counts=counts,
-                    failures=len(failures),
-                    failure_messages=tuple(msg for _, msg in failures),
-                    wall_time=time.perf_counter() - t0,
+    pooled = config.workers > 1 and not config.emit_traces
+    with (
+        ProcessPoolExecutor(max_workers=config.workers) if pooled else contextlib.nullcontext()
+    ) as pool:
+        for backtracking in config.backtrackings:
+            for direction in config.directions:
+                t0 = time.perf_counter()
+                results, failures = run_variant(
+                    config, direction, backtracking, starts,
+                    record_trace=config.emit_traces, pool=pool,
                 )
-            )
-            if keep_results or config.out_dir:
-                all_results[(direction, backtracking)] = results
+                outputs = [
+                    run_output_set(r, backtracking) if r is not None else []
+                    for r in results
+                ]
+                ratio = global_pareto_ratio(outputs)
+                counts: dict = {t.value: 0 for t in Termination}
+                for r in results:
+                    if r is not None:
+                        counts[r.termination.value] += 1
+                causes = Counter(f.cause for f in failures)
+                variants.append(
+                    VariantResult(
+                        direction=direction,
+                        backtracking=backtracking,
+                        pareto_ratio=ratio,
+                        termination_counts=counts,
+                        failures=len(failures),
+                        failure_messages=tuple(msg for _, msg in failures),
+                        wall_time=time.perf_counter() - t0,
+                        failure_causes=dict(sorted(causes.items())),
+                    )
+                )
+                if keep_results or config.out_dir:
+                    all_results[(direction, backtracking)] = results
 
     report = ExperimentReport(
         problem=config.problem,
@@ -290,6 +335,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
                 "failures": v.failures,
                 "failure_messages": list(v.failure_messages),
                 "wall_time": v.wall_time,
+                "failure_causes": v.failure_causes,
             }
             for v in report.variants
         ],
@@ -317,6 +363,8 @@ def report_to_text(report: ExperimentReport) -> str:
         label = variant_label(v.direction, v.backtracking)
         for key, count in v.termination_counts.items():
             lines.append(f"terminations.{label}.{key} = {count}")
+        for cause, count in v.failure_causes.items():
+            lines.append(f"failure_causes.{label}.{cause} = {count}")
     lines.append("")
     return "\n".join(lines)
 

@@ -4,9 +4,15 @@ Solves  min c.rho  s.t.  A rho <= b,  lower <= rho <= upper,
 where bound entries may be -inf/+inf.  The problem is reduced to standard
 form (nonnegative variables, inequality rows) and solved with a two-phase
 primal simplex using Bland's rule, which makes the result deterministic
-and guarantees termination.  The tableau is kept in plain Python lists:
-the LPs here are tiny (a handful of variables and rows), where list
-arithmetic beats numpy's per-element overhead.
+and guarantees termination.
+
+There are two statements of the simplex.  ``_simplex_core`` keeps one
+tableau in plain Python lists: the LPs here are tiny (a handful of
+variables and rows), and for one LP list arithmetic beats numpy's
+per-call overhead.  ``_simplex_batch`` solves many LPs of one shape in
+one padded numpy tableau and makes, for each of them, the pivots
+``_simplex_core`` makes, with the same floating-point operations, so it
+pays once there are a few dozen LPs per call.
 """
 
 from __future__ import annotations
@@ -239,6 +245,181 @@ def _simplex_core(cs, As, bs):
         if basis[i] < nvars:
             y[basis[i]] = T[i][ncols]
     return LpStatus.OPTIMAL, y
+
+
+def _bland_rows(ratios, basis):
+    """``_iterate``'s leaving-row fold for many LPs at once: the rows in
+    order, each taken if its ratio beats the best by more than ``_TOL``,
+    or ties it within ``_TOL`` with a smaller basic column.  Rows that
+    may not leave hold +inf.  Returns each LP's row, -1 where none.
+
+    The tolerance makes the outcome depend on the row order, so it is not
+    an argmin of the ratios.
+    """
+    best = np.full(len(ratios), np.inf)
+    best_row = np.full(len(ratios), -1)
+    best_basis = np.full(len(ratios), np.iinfo(basis.dtype).max)
+    for i in range(ratios.shape[1]):
+        ratio, b = ratios[:, i], basis[:, i]
+        take = (ratio < best - _TOL) | ((np.abs(ratio - best) <= _TOL) & (b < best_basis))
+        best = np.where(take, ratio, best)
+        best_row[take] = i
+        best_basis = np.where(take, b, best_basis)
+    return best_row
+
+
+def _pivot_batch(T, basis, lps, rows, cols, failures):
+    """``_pivot`` at (rows[k], cols[k]) of LP lps[k], for every k at once:
+    Tr = T[row] * (1/piv), then Ti -= f * Tr for every other row whose
+    entry f in the pivot column is nonzero.  An LP whose pivot is below
+    ``_PIVOT_MIN`` fails instead, into ``failures``, and its cost row is
+    zeroed so it takes no further part."""
+    piv = T[lps, rows, cols]
+    broken = np.abs(piv) < _PIVOT_MIN
+    if broken.any():
+        for k in np.flatnonzero(broken).tolist():
+            failures[int(lps[k])] = SolverFailure(
+                f"pivot {float(piv[k])} below breakdown threshold"
+            )
+        T[lps[broken], -1] = 0.0
+        keep = ~broken
+        lps, rows, cols, piv = lps[keep], rows[keep], cols[keep], piv[keep]
+    whole = lps.size == len(T)
+    sub = T if whole else T[lps]
+    at = np.arange(lps.size)
+    Tr = sub[at, rows] * (1.0 / piv)[:, None]
+    f = sub[at, :, cols]
+    f[at, rows] = 0.0
+    np.subtract(sub, f[:, :, None] * Tr[:, None, :], out=sub, where=(f != 0.0)[:, :, None])
+    sub[at, rows] = Tr
+    if not whole:
+        T[lps] = sub
+    basis[lps, rows] = cols
+
+
+def _iterate_batch(T, basis, ncols, failures):
+    """``_iterate`` for every LP of a batched tableau, in place.
+
+    Each LP makes the pivots ``_iterate`` makes for it alone, until no
+    reduced cost in its first ``ncols`` columns is below ``-_TOL``; an LP
+    at its optimum (or with a zeroed cost row) stays as it is.  Returns
+    the LPs found unbounded, whose cost rows are then zeroed; pivot
+    breakdowns go into ``failures``.
+    """
+    nrows = T.shape[1] - 1
+    cost, rhs = T[:, nrows, :ncols], T[:, :nrows, -1]
+    every = np.arange(len(T))
+    unbounded = []
+    while True:
+        neg = cost < -_TOL
+        entering = neg.argmax(axis=1)  # the first negative reduced cost
+        lps = np.flatnonzero(neg[every, entering])
+        if not lps.size:
+            return unbounded
+        cols = entering[lps]
+        col = T[lps, :nrows, cols]
+        ratios = np.divide(rhs[lps], col, out=np.full(col.shape, np.inf), where=col > _TOL)
+        # Where the second smallest ratio exceeds the smallest one, r, by
+        # more than 2*_TOL + 1e-15*|r| (the difference rounded as the fold
+        # rounds it), the fold of _bland_rows takes r's row: r beats any
+        # earlier best by more than _TOL after rounding, and no later row
+        # comes within _TOL of it.  Ties, near-ties and LPs without a
+        # candidate row go through the fold.
+        rows = ratios.argmin(axis=1)
+        best = ratios[np.arange(lps.size), rows]
+        second = np.partition(ratios, 1, axis=1)[:, 1]
+        clear = second - best > 2 * _TOL + 1e-15 * np.abs(best)
+        if not clear.all():
+            fold = np.flatnonzero(~clear)
+            rows[fold] = _bland_rows(ratios[fold], basis[lps[fold]])
+            none = rows < 0
+            if none.any():
+                unbounded.extend(lps[none].tolist())
+                T[lps[none], nrows] = 0.0
+                lps, rows, cols = lps[~none], rows[~none], cols[~none]
+        _pivot_batch(T, basis, lps, rows, cols, failures)
+
+
+def _simplex_batch(cs, As, bs):
+    """``_simplex_core`` for W standard-form LPs of one shape at once.
+
+    ``cs`` is (W, nvars), ``As`` (W, nrows, nvars) and ``bs`` (W, nrows).
+    All LPs share one padded (W, nrows + 1, nvars + nrows + max_art + 1)
+    tableau: an LP with fewer artificials has zero columns there, whose
+    zero cost never lets them enter, and an LP without artificials has a
+    zero phase-1 cost row, so phase 1 leaves it as it is.  Phase 2 leaves
+    the artificial columns out of the entering scan, as ``_simplex_core``
+    leaves them out of its tableau.  Every LP makes the pivots
+    ``_simplex_core`` makes for it alone, so its y is the same to the bit.
+
+    Returns (Y, outcomes): Y is (W, nvars), valid where the LP is optimal;
+    outcomes maps every other LP to its LpStatus, to its SolverFailure, or
+    to None where phase 1 leaves an artificial basic in a row with no entry
+    above ``_TOL`` to pivot on: a redundant row, which only
+    ``_simplex_core`` drops.
+    """
+    W, nrows, nvars = As.shape
+    neg = bs < 0
+    base = nvars + nrows  # the first artificial column
+    ncols = base + int(neg.sum(axis=1).max(initial=0))
+    art = base + np.cumsum(neg, axis=1) - 1  # each LP numbers its own artificials
+    rows = np.arange(nrows)
+    s = np.where(neg, -1.0, 1.0)
+    T = np.zeros((W, nrows + 1, ncols + 1))
+    T[:, :nrows, :nvars] = s[:, :, None] * As
+    T[:, rows, nvars + rows] = s
+    T[:, :nrows, -1] = s * bs
+    basis = np.where(neg, art, nvars + rows)
+    w, i = np.nonzero(neg)
+    T[w, i, art[w, i]] = 1.0
+    cost = T[:, nrows]
+    outcomes: dict = {}
+
+    with np.errstate(all="ignore"):
+        if w.size:
+            # Phase 1: minimize the sum of artificials.
+            for i in np.flatnonzero(neg.any(axis=0)).tolist():
+                np.subtract(cost, T[:, i], out=cost, where=neg[:, i, None])
+            cost[:, base:ncols] = 0.0
+            for j in _iterate_batch(T, basis, ncols, outcomes):
+                outcomes[j] = SolverFailure("phase-1 objective unbounded")
+            for j in np.flatnonzero(-cost[:, -1] > 1e-7).tolist():
+                outcomes.setdefault(j, LpStatus.INFEASIBLE)
+            # Drive leftover (degenerate) artificials out, row by row, on
+            # the first column with an entry above _TOL.
+            settled = np.zeros(W, dtype=bool)
+            for i in np.flatnonzero((basis >= base).any(axis=0)).tolist():
+                settled[list(outcomes)] = True
+                lps = np.flatnonzero((basis[:, i] >= base) & ~settled)
+                if lps.size:
+                    big = np.abs(T[lps, i, :base]) > _TOL
+                    cols = big.argmax(axis=1)
+                    redundant = ~big[np.arange(lps.size), cols]
+                    for j in lps[redundant].tolist():
+                        outcomes[j] = None
+                    keep = ~redundant
+                    _pivot_batch(
+                        T, basis, lps[keep], np.full(keep.sum(), i), cols[keep], outcomes
+                    )
+
+        # Phase 2: install the true objective row.
+        cost[:] = 0.0
+        cost[:, :nvars] = cs
+        cb = np.where(
+            basis < nvars, np.take_along_axis(cs, np.minimum(basis, nvars - 1), axis=1), 0.0
+        )
+        for i in np.flatnonzero((cb != 0.0).any(axis=0)).tolist():
+            np.subtract(
+                cost, cb[:, i, None] * T[:, i], out=cost, where=(cb[:, i] != 0.0)[:, None]
+            )
+        cost[list(outcomes)] = 0.0
+        for j in _iterate_batch(T, basis, base, outcomes):
+            outcomes[j] = LpStatus.UNBOUNDED
+
+    Y = np.zeros((W, nvars))
+    w, i = np.nonzero(basis < nvars)
+    Y[w, basis[w, i]] = T[w, i, -1]
+    return Y, outcomes
 
 
 def solve_lp(spec: LpSpec) -> LpResult:

@@ -26,7 +26,9 @@ from mgdkit import (
     solve_direction,
     StartSampler,
 )
+import mgdkit.descent as descent_mod
 from mgdkit.descent import TraceRecord
+from mgdkit.direction import _BATCH_MIN_WIDTH, _solve_batch
 from oracles import run_mgd_oracle
 
 LP_NEW = DirectionConfig(variant=DirectionVariant.LP_NEW)
@@ -350,6 +352,28 @@ class TestLockstep:
                 assert_same_run(run, expected)
                 seen.add(run.termination)
         assert seen == set(Termination)
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_batched_lp_matches_one_start_oracle(self, name, monkeypatch):
+        # With 2 * _BATCH_MIN_WIDTH starts the direction LPs go through the
+        # batched simplex until runs leave the batch; each run still equals
+        # the one-start oracle, which solves every LP by itself.
+        widths = []
+
+        def spy(J, *args):
+            widths.append(len(J))
+            return _solve_batch(J, *args)
+
+        monkeypatch.setattr(descent_mod, "_solve_batch", spy)
+        prob = get_problem(name)
+        starts = sample_starts(StartSampler(prob.domain_box, 2 * _BATCH_MIN_WIDTH, 5))
+        for bt, cfg in itertools.product(BacktrackVariant, (LP_BASE, LP_NEW)):
+            params = BacktrackParams(variant=bt)
+            widths.clear()
+            runs = run_mgd_batch(prob, starts, params, cfg, K=12, record_trace=True)
+            assert widths and min(widths) >= _BATCH_MIN_WIDTH
+            for x0, run in zip(starts, runs):
+                assert_same_run(run, run_mgd_oracle(prob, x0, params, cfg, K=12))
 
     def test_no_starts(self):
         prob = get_problem("kursawe")

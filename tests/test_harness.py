@@ -204,6 +204,63 @@ class TestRunExperiment:
         for j, msg in failures:
             assert msg.startswith(f"run {j}: ") and "terminated abruptly" in msg
 
+    def test_one_pool_per_experiment(self, monkeypatch):
+        built = []
+
+        class CountingPool(harness_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountingPool)
+        report = run_experiment(_small_config(workers=2))
+        assert len(report.variants) == 4
+        assert sum(v.failures for v in report.variants) == 0
+        assert len(built) == 1
+
+    def test_broken_pool_fails_later_variants(self, monkeypatch, tmp_path):
+        # The first variant's jobs die and break the shared pool; the runs
+        # of every later variant fail with that cause instead of raising.
+        monkeypatch.setattr(harness_mod, "_run_chunk", _dying_chunk)
+        out = tmp_path / "exp"
+        report = run_experiment(_small_config(n_starts=5, workers=2, out_dir=str(out)))
+        for v in report.variants:
+            assert v.failures == 5
+            assert v.failure_causes == {"BrokenProcessPool": 5}
+            assert all("terminated abruptly" in msg for msg in v.failure_messages)
+        parsed = json.loads((out / "report.json").read_text())
+        assert [v["failure_causes"] for v in parsed["variants"]] == [{"BrokenProcessPool": 5}] * 4
+        text = (out / "report.txt").read_text()
+        assert "failure_causes.bt-base_lp-base.BrokenProcessPool = 5" in text
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failure_causes_counted_by_type(self, monkeypatch, tmp_path, workers):
+        # Runs whose evaluator raises fail with its RuntimeError; runs that
+        # reach a NaN fail with an EvaluationError.  The report counts both.
+        base = problems_mod.fonseca_fleming(3)
+
+        def evaluator(x):
+            if x[0] > 0.9:
+                raise RuntimeError("synthetic failure")
+            f, jac = base.evaluator(x)
+            return (np.array([f[0], np.nan]) if x[1] < -0.9 else f), jac
+
+        faulty = dataclasses.replace(base, evaluator=evaluator, f_batch=None, jac_batch=None)
+        monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: faulty)
+        out = tmp_path / "exp"
+        config = _small_config(n_starts=40, seed=2, max_iters=5, workers=workers,
+                               out_dir=str(out))
+        report = run_experiment(config)
+        parsed = json.loads((out / "report.json").read_text())
+        text = (out / "report.txt").read_text()
+        for v, pv in zip(report.variants, parsed["variants"]):
+            assert set(v.failure_causes) == {"RuntimeError", "EvaluationError"}
+            assert sum(v.failure_causes.values()) == v.failures
+            assert pv["failure_causes"] == v.failure_causes
+            label = variant_label(v.direction, v.backtracking)
+            for cause, count in v.failure_causes.items():
+                assert f"failure_causes.{label}.{cause} = {count}" in text
+
     def test_parallel_matches_serial(self, tmp_path):
         # A 2-worker pool writes byte-identical front files and the same
         # report.json as a serial run, apart from wall times and the
