@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,7 +84,7 @@ def _fast_direction_lp(
     As, bs = [], []
     for row in G:  # p shifted by +box onto [0, 2*box]
         As.append(list(row) + tail)
-        bs.append(box * sum(row))
+        bs.append(box * _seq_sum(row))
     two = 2.0 * box
     for j in range(n):
         e = [0.0] * len(cs)
@@ -93,7 +95,7 @@ def _fast_direction_lp(
     if status is not LpStatus.OPTIMAL:
         raise SolverFailure(f"direction LP ended with status {status.value}")
     p = [y[j] - box for j in range(n)]
-    value = sum(ci * pi for ci, pi in zip(c_p, p))
+    value = _seq_sum(ci * pi for ci, pi in zip(c_p, p))
     beta = 0.0
     if c_beta is not None:
         beta = -y[n]
@@ -110,16 +112,16 @@ def solve_direction(
     jac = np.asarray(jac, dtype=float)
     m, n = jac.shape
     J = jac.tolist()
-    g = [sum(col) for col in zip(*J)]
+    g = [_seq_sum(col) for col in zip(*J)]
 
     if variant is DirectionVariant.LP_NEW:
-        norms = [math.sqrt(sum(v * v for v in row)) for row in J]
+        norms = [math.sqrt(_seq_sum(v * v for v in row)) for row in J]
         dropped = tuple(i for i, nm in enumerate(norms) if nm <= TOL_GRAD)
         gam = max(
             max(abs(v) for row in J for v in row),
             max(abs(v) for v in g),
         )
-        c_beta = math.sqrt(sum(v * v for v in g)) + epsilon
+        c_beta = math.sqrt(_seq_sum(v * v for v in g)) + epsilon
         if len(dropped) == m:
             return DirectionResult(
                 p_star=np.zeros(n),
@@ -198,12 +200,10 @@ def _classify_critical(
 
 
 def _seq_sum(terms):
-    """((0.0 + t0) + t1) + ...: the order in which Python's ``sum`` adds
-    floats (CPython before 3.12, whose ``sum`` compensates), elementwise."""
-    total = 0.0
-    for t in terms:
-        total = total + t
-    return total
+    """((0.0 + t0) + t1) + ...: floats, or arrays elementwise, added in
+    order.  Python's ``sum`` adds in this order only before 3.12 (later
+    it compensates), so the scalar and the batched path both use this."""
+    return reduce(add, terms, 0.0)
 
 
 def _solve_alone(jac, variant, epsilon):
@@ -224,7 +224,7 @@ def _solve_batch(
 
     Returns, per Jacobian, the DirectionResult solve_direction returns or
     the exception it raises, equal to the bit: the preparation repeats
-    its arithmetic elementwise (sums in Python's order, square roots,
+    its arithmetic elementwise (in-order sums, square roots,
     quotients) and ``_simplex_batch`` repeats ``_simplex_core``'s pivots.
     The rare cases go to solve_direction itself: Jacobians with a
     non-finite entry, lp-new Jacobians with a row dropped for its norm,
@@ -282,7 +282,7 @@ def _solve_batch(
             case = CriticalityCase.NOT_CRITICAL
         else:
             p = P[k].tolist()
-            value = sum(ci * pi for ci, pi in zip(c_p[k].tolist(), p))
+            value = _seq_sum(ci * pi for ci, pi in zip(c_p[k].tolist(), p))
             value += cb * beta
             try:
                 case = _classify_critical(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
@@ -162,28 +161,25 @@ def run_variant(
 ) -> tuple[list, list]:
     """All runs of one variant over the shared starts, advanced in lockstep.
 
-    With ``config.workers > 1`` (and no traces) the starts are split into
-    that many chunks, one job each in ``pool``, or in a pool of its own
-    when none is given.  Returns (results, failures) where results has one
-    entry per start (None where the run failed) and failures is a list of
+    Given a ``pool``, the starts are split into ``config.workers`` chunks,
+    one job each in it; traces are recorded only in-process, without one.
+    Returns (results, failures) where results has one entry per start
+    (None where the run failed) and failures is a list of
     :class:`RunFailure`, (index, message) pairs.
     """
     params = config.backtrack_params(backtracking)
     dir_cfg = config.direction_config(direction)
     K = config.max_iters
 
-    if config.workers > 1 and not record_trace:
+    if pool is not None:
+        if record_trace:
+            raise ValueError("traces are recorded in-process only; pass no pool")
         jobs = [
             (config.problem, X0, params, dir_cfg, K)
             for X0 in np.array_split(starts, config.workers)
             if len(X0)
         ]
-        with (
-            ProcessPoolExecutor(max_workers=config.workers)
-            if pool is None
-            else contextlib.nullcontext(pool)
-        ) as pool:
-            outcomes = _pooled(pool, jobs)
+        outcomes = _pooled(pool, jobs)
     else:
         problem = get_problem(config.problem)
         outcomes = run_mgd_batch(problem, starts, params, dir_cfg, K=K, record_trace=record_trace)
@@ -207,7 +203,7 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
     are counted in the report.  With an output directory configured, the
     report (and traces, if requested) are written there.  With
     ``config.workers > 1`` and no traces, every variant runs in one shared
-    worker pool.
+    worker pool, which is replaced after a variant whose worker died.
     """
     problem = get_problem(config.problem)
     starts = sample_starts(
@@ -218,9 +214,8 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
     variants = []
     all_results = {}
     pooled = config.workers > 1 and not config.emit_traces
-    with (
-        ProcessPoolExecutor(max_workers=config.workers) if pooled else contextlib.nullcontext()
-    ) as pool:
+    pool = ProcessPoolExecutor(max_workers=config.workers) if pooled else None
+    try:
         for backtracking in config.backtrackings:
             for direction in config.directions:
                 t0 = time.perf_counter()
@@ -228,6 +223,10 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
                     config, direction, backtracking, starts,
                     record_trace=config.emit_traces, pool=pool,
                 )
+                if pool is not None and any(f.cause == "BrokenProcessPool" for f in failures):
+                    # A dead worker breaks the pool for good.
+                    pool.shutdown()
+                    pool = ProcessPoolExecutor(max_workers=config.workers)
                 outputs = [
                     run_output_set(r, backtracking) if r is not None else []
                     for r in results
@@ -252,6 +251,9 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
                 )
                 if keep_results or config.out_dir:
                     all_results[(direction, backtracking)] = results
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     report = ExperimentReport(
         problem=config.problem,

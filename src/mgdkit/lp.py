@@ -268,22 +268,13 @@ def _bland_rows(ratios, basis):
     return best_row
 
 
-def _pivot_batch(T, basis, lps, rows, cols, failures):
+def _pivot_batch(T, basis, lps, rows, cols):
     """``_pivot`` at (rows[k], cols[k]) of LP lps[k], for every k at once:
     Tr = T[row] * (1/piv), then Ti -= f * Tr for every other row whose
-    entry f in the pivot column is nonzero.  An LP whose pivot is below
-    ``_PIVOT_MIN`` fails instead, into ``failures``, and its cost row is
-    zeroed so it takes no further part."""
+    entry f in the pivot column is nonzero.  ``_pivot``'s breakdown check
+    is left out: both simplexes pivot only on entries above ``_TOL``,
+    far above ``_PIVOT_MIN``, so it cannot fire."""
     piv = T[lps, rows, cols]
-    broken = np.abs(piv) < _PIVOT_MIN
-    if broken.any():
-        for k in np.flatnonzero(broken).tolist():
-            failures[int(lps[k])] = SolverFailure(
-                f"pivot {float(piv[k])} below breakdown threshold"
-            )
-        T[lps[broken], -1] = 0.0
-        keep = ~broken
-        lps, rows, cols, piv = lps[keep], rows[keep], cols[keep], piv[keep]
     whole = lps.size == len(T)
     sub = T if whole else T[lps]
     at = np.arange(lps.size)
@@ -297,14 +288,13 @@ def _pivot_batch(T, basis, lps, rows, cols, failures):
     basis[lps, rows] = cols
 
 
-def _iterate_batch(T, basis, ncols, failures):
+def _iterate_batch(T, basis, ncols):
     """``_iterate`` for every LP of a batched tableau, in place.
 
     Each LP makes the pivots ``_iterate`` makes for it alone, until no
     reduced cost in its first ``ncols`` columns is below ``-_TOL``; an LP
     at its optimum (or with a zeroed cost row) stays as it is.  Returns
-    the LPs found unbounded, whose cost rows are then zeroed; pivot
-    breakdowns go into ``failures``.
+    the LPs found unbounded, whose cost rows are then zeroed.
     """
     nrows = T.shape[1] - 1
     cost, rhs = T[:, nrows, :ncols], T[:, :nrows, -1]
@@ -337,7 +327,7 @@ def _iterate_batch(T, basis, ncols, failures):
                 unbounded.extend(lps[none].tolist())
                 T[lps[none], nrows] = 0.0
                 lps, rows, cols = lps[~none], rows[~none], cols[~none]
-        _pivot_batch(T, basis, lps, rows, cols, failures)
+        _pivot_batch(T, basis, lps, rows, cols)
 
 
 def _simplex_batch(cs, As, bs):
@@ -381,7 +371,7 @@ def _simplex_batch(cs, As, bs):
             for i in np.flatnonzero(neg.any(axis=0)).tolist():
                 np.subtract(cost, T[:, i], out=cost, where=neg[:, i, None])
             cost[:, base:ncols] = 0.0
-            for j in _iterate_batch(T, basis, ncols, outcomes):
+            for j in _iterate_batch(T, basis, ncols):
                 outcomes[j] = SolverFailure("phase-1 objective unbounded")
             for j in np.flatnonzero(-cost[:, -1] > 1e-7).tolist():
                 outcomes.setdefault(j, LpStatus.INFEASIBLE)
@@ -398,9 +388,7 @@ def _simplex_batch(cs, As, bs):
                     for j in lps[redundant].tolist():
                         outcomes[j] = None
                     keep = ~redundant
-                    _pivot_batch(
-                        T, basis, lps[keep], np.full(keep.sum(), i), cols[keep], outcomes
-                    )
+                    _pivot_batch(T, basis, lps[keep], np.full(keep.sum(), i), cols[keep])
 
         # Phase 2: install the true objective row.
         cost[:] = 0.0
@@ -413,7 +401,7 @@ def _simplex_batch(cs, As, bs):
                 cost, cb[:, i, None] * T[:, i], out=cost, where=(cb[:, i] != 0.0)[:, None]
             )
         cost[list(outcomes)] = 0.0
-        for j in _iterate_batch(T, basis, base, outcomes):
+        for j in _iterate_batch(T, basis, base):
             outcomes[j] = LpStatus.UNBOUNDED
 
     Y = np.zeros((W, nvars))

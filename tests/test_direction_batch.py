@@ -105,6 +105,16 @@ class TestBatchedEqualsScalar:
             "direction LP ended with status unbounded",
         }
 
+    def test_sums_in_order(self):
+        # Added in order, 1 + 1e-16 + 1e-16 is 1.0; compensated, as Python's
+        # sum adds floats from 3.12 on, it is 1 + 2**-52.  Both paths add
+        # in order on every interpreter, so gamma = max(|J|, |g|) is 1.0.
+        jac = np.array([[1.0, 0.0], [1e-16, 1.0], [1e-16, -1.0]])
+        expected = solve_direction(jac, DirectionVariant.LP_NEW)
+        assert expected.gamma == 1.0
+        for res in _solve_batch(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW):
+            assert_same(res, expected)
+
     def test_dropped_rows_and_non_finite_entries(self):
         # lp-new drops the rows of an all-zero Jacobian; a NaN entry sends
         # the Jacobian to solve_direction itself.

@@ -1,8 +1,10 @@
 """Tests for experiment orchestration, persistence, and the CLI."""
 
+import contextlib
 import dataclasses
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ import mgdkit.problems as problems_mod
 from mgdkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from mgdkit.harness import (
     _json_text,
+    _run_chunk,
     parse_config_file,
     report_to_dict,
     report_to_text,
@@ -34,6 +37,13 @@ from test_descent import assert_same_run
 
 def _dying_chunk(args):
     os._exit(3)  # a worker that dies in the middle of its job
+
+
+def _chunk_dying_in_first_variant(args):
+    _, _, params, dir_cfg, _ = args
+    if (params.variant, dir_cfg.variant) == (BacktrackVariant.BT_BASE, DirectionVariant.LP_BASE):
+        os._exit(3)
+    return _run_chunk(args)
 
 
 def _small_config(**overrides):
@@ -172,9 +182,19 @@ class TestRunExperiment:
         config = _small_config(n_starts=32, seed=6, max_iters=30, workers=workers)
         starts = sample_starts(StartSampler(faulty.domain_box, 32, 6))
         causes, late = set(), False
+        with (
+            ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+        ) as pool:
+            outcomes = {
+                (backtracking, direction): run_variant(
+                    config, direction, backtracking, starts, pool=pool
+                )
+                for backtracking in BacktrackVariant
+                for direction in DirectionVariant
+            }
         for backtracking in BacktrackVariant:
             for direction in DirectionVariant:
-                results, failures = run_variant(config, direction, backtracking, starts)
+                results, failures = outcomes[(backtracking, direction)]
                 messages = dict(failures)
                 params = config.backtrack_params(backtracking)
                 dir_cfg = config.direction_config(direction)
@@ -196,15 +216,17 @@ class TestRunExperiment:
         monkeypatch.setattr(harness_mod, "_run_chunk", _dying_chunk)
         config = _small_config(n_starts=5, workers=2)
         starts = np.zeros((5, 3))
-        results, failures = run_variant(
-            config, DirectionVariant.LP_NEW, BacktrackVariant.BT_NEW, starts
-        )
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            results, failures = run_variant(
+                config, DirectionVariant.LP_NEW, BacktrackVariant.BT_NEW, starts, pool=pool
+            )
         assert results == [None] * 5
         assert [j for j, _ in failures] == list(range(5))
         for j, msg in failures:
             assert msg.startswith(f"run {j}: ") and "terminated abruptly" in msg
 
-    def test_one_pool_per_experiment(self, monkeypatch):
+    @staticmethod
+    def _count_pools(monkeypatch):
         built = []
 
         class CountingPool(harness_mod.ProcessPoolExecutor):
@@ -213,25 +235,35 @@ class TestRunExperiment:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountingPool)
+        return built
+
+    def test_one_pool_per_experiment(self, monkeypatch):
+        built = self._count_pools(monkeypatch)
         report = run_experiment(_small_config(workers=2))
         assert len(report.variants) == 4
         assert sum(v.failures for v in report.variants) == 0
         assert len(built) == 1
 
-    def test_broken_pool_fails_later_variants(self, monkeypatch, tmp_path):
-        # The first variant's jobs die and break the shared pool; the runs
-        # of every later variant fail with that cause instead of raising.
-        monkeypatch.setattr(harness_mod, "_run_chunk", _dying_chunk)
+    def test_broken_pool_is_replaced(self, monkeypatch, tmp_path):
+        # The first variant's jobs die and break the shared pool: its runs
+        # fail with that cause, and the later variants run in a new pool.
+        monkeypatch.setattr(harness_mod, "_run_chunk", _chunk_dying_in_first_variant)
+        built = self._count_pools(monkeypatch)
         out = tmp_path / "exp"
         report = run_experiment(_small_config(n_starts=5, workers=2, out_dir=str(out)))
-        for v in report.variants:
-            assert v.failures == 5
-            assert v.failure_causes == {"BrokenProcessPool": 5}
-            assert all("terminated abruptly" in msg for msg in v.failure_messages)
+        first, *later = report.variants
+        assert first.failures == 5
+        assert first.failure_causes == {"BrokenProcessPool": 5}
+        assert all("terminated abruptly" in msg for msg in first.failure_messages)
+        assert [(v.failures, v.failure_causes) for v in later] == [(0, {})] * 3
+        assert len(built) == 2
         parsed = json.loads((out / "report.json").read_text())
-        assert [v["failure_causes"] for v in parsed["variants"]] == [{"BrokenProcessPool": 5}] * 4
+        assert [v["failure_causes"] for v in parsed["variants"]] == [
+            {"BrokenProcessPool": 5}, {}, {}, {}
+        ]
         text = (out / "report.txt").read_text()
         assert "failure_causes.bt-base_lp-base.BrokenProcessPool = 5" in text
+        assert "failure_causes.bt-base_lp-new" not in text
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_failure_causes_counted_by_type(self, monkeypatch, tmp_path, workers):
