@@ -15,6 +15,7 @@ from .direction import DirectionVariant
 from .harness import (
     ALL_BACKTRACKINGS,
     ALL_DIRECTIONS,
+    _CONFIG_KEYS,
     ExperimentConfig,
     _json_text,
     parse_config_file,
@@ -59,8 +60,9 @@ def _add_common(p: _Parser, with_variant: bool = True):
     p.add_argument("--theta", type=int, help="max backtracking steps")
     p.add_argument("--epsilon", type=float, help="margin added to the beta weight")
     p.add_argument("--max-iters", type=int, help="iteration budget override")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], help="trace/front file format")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--format", dest="trace_format", choices=["csv", "json"],
+                   help="trace/front file format")
     p.add_argument("--workers", type=int,
                    help="pool jobs the starts are split into (default: cores)")
     p.add_argument(
@@ -69,7 +71,7 @@ def _add_common(p: _Parser, with_variant: bool = True):
         default=None,
         help="loop on zero directions instead of stopping early",
     )
-    p.add_argument("--traces", action="store_true", default=None,
+    p.add_argument("--traces", dest="emit_traces", action="store_true", default=None,
                    help="write per-run trajectory files")
     p.add_argument("--config", help="key=value config file (flags override it)")
 
@@ -106,26 +108,10 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 
 def _build_config(args, need_out: bool = False) -> ExperimentConfig:
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for key in ("problem", "n_starts", "seed", "c1", "alpha", "eta0", "theta",
-                "epsilon", "max_iters", "workers"):
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
-    if getattr(args, "direction", None) is not None:
-        values["direction"] = args.direction
-    if getattr(args, "backtracking", None) is not None:
-        values["backtracking"] = args.backtracking
-    if getattr(args, "out", None) is not None:
-        values["out_dir"] = args.out
-    if getattr(args, "format", None) is not None:
-        values["trace_format"] = args.format
-    if getattr(args, "paper_semantics", None):
-        values["paper_semantics"] = True
-    if getattr(args, "traces", None):
-        values["emit_traces"] = True
+    values = parse_config_file(args.config) if args.config else {}
+    values.update(
+        (key, v) for key, v in vars(args).items() if key in _CONFIG_KEYS and v is not None
+    )
 
     if "problem" not in values:
         raise UsageError("a problem must be given (--problem or config file)")

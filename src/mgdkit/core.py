@@ -28,7 +28,9 @@ class Problem:
     evaluates its iterates and line searches through them and the domain
     scan its grid, so both must give ``evaluator``'s values bit for bit
     for a run to follow the same iterates as with the evaluator alone.
-    Without them, ``eval_f_batch`` and ``eval_jac_batch`` loop ``evaluator``.
+    The built-in problems state their objectives only in these kernels
+    and take ``evaluator`` as row 0 of a one-row batch.  Without them,
+    ``eval_f_batch`` and ``eval_jac_batch`` loop ``evaluator``.
     """
 
     name: str
@@ -57,7 +59,7 @@ class Problem:
         X = np.asarray(X, dtype=float)
         if self.f_batch is not None:
             return self.f_batch(X)
-        return np.array([self.evaluator(x)[0] for x in X])
+        return np.array([self.evaluator(x)[0] for x in X]).reshape(len(X), self.m)
 
     def eval_jac_batch(self, X: np.ndarray) -> np.ndarray:
         """Jacobians for a batch of points, shape (N, n) -> (N, m, n)."""

@@ -7,12 +7,11 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .core import dominates
 # run_mgd stays importable here: bench/instrument.py wraps harness.run_mgd.
 from .descent import (  # noqa: F401
     BacktrackParams,
@@ -46,8 +45,8 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     emit_traces: bool = False
     trace_format: str = "csv"
-    workers: int = 0  # 0 or 1: in-process; >1: the starts in that many pool jobs
     paper_semantics: bool = False
+    workers: int = 0  # 0 or 1: in-process; >1: the starts in that many pool jobs
 
     def __post_init__(self):
         if self.n_starts < 1:
@@ -58,6 +57,9 @@ class ExperimentConfig:
             raise ValueError("trace_format must be 'csv' or 'json'")
         if not self.directions or not self.backtrackings:
             raise ValueError("need at least one direction and backtracking variant")
+        # Their own checks reject bad step and LP settings before any run.
+        self.backtrack_params(self.backtrackings[0])
+        self.direction_config(self.directions[0])
 
     def backtrack_params(self, backtracking: BacktrackVariant) -> BacktrackParams:
         return BacktrackParams(
@@ -273,21 +275,14 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "problem": config.problem,
-        "directions": [d.value for d in config.directions],
-        "backtrackings": [b.value for b in config.backtrackings],
-        "n_starts": config.n_starts,
-        "seed": config.seed,
-        "c1": config.c1,
-        "alpha": config.alpha,
-        "eta0": config.eta0,
-        "theta": config.theta,
-        "epsilon": config.epsilon,
-        "max_iters": config.max_iters,
-        "paper_semantics": config.paper_semantics,
-        "workers": config.workers,
-    }
+    """The settings a report records, in field order: all but where and in
+    which format the outputs go, with the variant tuples as value lists."""
+    echo = {}
+    for f in fields(config):
+        if f.name not in ("out_dir", "emit_traces", "trace_format"):
+            value = getattr(config, f.name)
+            echo[f.name] = [v.value for v in value] if isinstance(value, tuple) else value
+    return echo
 
 
 # --- serialization -------------------------------------------------------
@@ -482,24 +477,20 @@ def _trace_text(result: RunResult, fmt: str) -> str:
 
 # --- config files --------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "problem": str,
-    "n_starts": int,
-    "seed": int,
-    "c1": float,
-    "alpha": float,
-    "eta0": float,
-    "theta": int,
-    "epsilon": float,
-    "max_iters": int,
-    "out_dir": str,
-    "trace_format": str,
-    "workers": int,
-    "paper_semantics": bool,
-    "emit_traces": bool,
-    "direction": str,
-    "backtracking": str,
-}
+def _config_key(name: str, kind) -> tuple:
+    """A field's config-file key and value type: ``Optional[T]`` reads as T,
+    and a variant tuple as its singular key naming one variant."""
+    if kind is tuple:
+        return name.removesuffix("s"), str
+    if get_origin(kind) is Union:
+        kind = get_args(kind)[0]
+    return name, kind
+
+
+_CONFIG_KEYS = dict(
+    _config_key(name, kind)
+    for name, kind in get_type_hints(ExperimentConfig).items()
+)
 
 
 def parse_config_file(path: str) -> dict:

@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 _TOL = 1e-9  # feasibility / optimality tolerance
-_PIVOT_MIN = 1e-11  # below this the pivot is considered a numerical breakdown
 
 
 class SolverFailure(RuntimeError):
@@ -121,10 +120,7 @@ def _to_standard_form(spec: LpSpec):
 
 def _pivot(T, basis, nrows, width, row, col):
     Tr = T[row]
-    piv = Tr[col]
-    if abs(piv) < _PIVOT_MIN:
-        raise SolverFailure(f"pivot {piv} below breakdown threshold")
-    inv = 1.0 / piv
+    inv = 1.0 / Tr[col]
     for j in range(width):
         Tr[j] *= inv
     for i in range(nrows + 1):
@@ -271,9 +267,8 @@ def _bland_rows(ratios, basis):
 def _pivot_batch(T, basis, lps, rows, cols):
     """``_pivot`` at (rows[k], cols[k]) of LP lps[k], for every k at once:
     Tr = T[row] * (1/piv), then Ti -= f * Tr for every other row whose
-    entry f in the pivot column is nonzero.  ``_pivot``'s breakdown check
-    is left out: both simplexes pivot only on entries above ``_TOL``,
-    far above ``_PIVOT_MIN``, so it cannot fire."""
+    entry f in the pivot column is nonzero.  Both simplexes pivot only on
+    entries with magnitude above ``_TOL``."""
     piv = T[lps, rows, cols]
     whole = lps.size == len(T)
     sub = T if whole else T[lps]

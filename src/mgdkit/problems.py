@@ -9,6 +9,11 @@ import numpy as np
 from .core import Problem
 
 
+def _point_evaluator(f_batch, jac_batch):
+    """A built-in problem's one-point evaluator: row 0 of a one-row batch."""
+    return lambda x: (f_batch(x[None])[0], jac_batch(x[None])[0])
+
+
 def _ff_f_batch(a: float):
     def f_batch(X: np.ndarray) -> np.ndarray:
         D1, D2 = X - a, X + a
@@ -35,24 +40,16 @@ def fonseca_fleming(n: int = 3) -> Problem:
     if n < 1:
         raise ValueError("n must be >= 1")
     a = 1.0 / np.sqrt(n)
-
-    def evaluator(x: np.ndarray):
-        d1, d2 = x - a, x + a
-        e1 = np.exp(-np.dot(d1, d1))
-        e2 = np.exp(-np.dot(d2, d2))
-        f = np.array([1.0 - e1, 1.0 - e2])
-        jac = np.vstack([2.0 * e1 * d1, 2.0 * e2 * d2])
-        return f, jac
-
+    f_batch, jac_batch = _ff_f_batch(a), _ff_jac_batch(a)
     return Problem(
         name="fonseca-fleming",
         n=n,
         m=2,
-        evaluator=evaluator,
+        evaluator=_point_evaluator(f_batch, jac_batch),
         domain_box=np.tile([-2.0, 2.0], (n, 1)),
         default_max_iters=250,
-        f_batch=_ff_f_batch(a),
-        jac_batch=_ff_jac_batch(a),
+        f_batch=f_batch,
+        jac_batch=jac_batch,
     )
 
 
@@ -64,38 +61,18 @@ def _kursawe_f_batch(X: np.ndarray) -> np.ndarray:
     return np.column_stack([f1, f2])
 
 
-def _kursawe_evaluator(x: np.ndarray):
-    s1 = np.hypot(x[0], x[1])
-    s2 = np.hypot(x[1], x[2])
-    e1 = np.exp(-0.2 * s1)
-    e2 = np.exp(-0.2 * s2)
-    f1 = -10.0 * (e1 + e2)
-    f2 = float(np.sum(np.abs(x) ** 0.8 + 5.0 * np.sin(x**3)))
-
-    # d/dx of -10 exp(-0.2 s) is 2 exp(-0.2 s) x / s; the s = 0 slice is a
-    # removable direction-dependent singularity, set to 0 there.
-    r1 = 2.0 * e1 / s1 if s1 > 0 else 0.0
-    r2 = 2.0 * e2 / s2 if s2 > 0 else 0.0
-    g1 = np.array([r1 * x[0], r1 * x[1] + r2 * x[1], r2 * x[2]])
-
-    ax = np.abs(x)
-    # |x|^0.8 has unbounded slope at 0; define the derivative as 0 there.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pw = np.where(ax > 0, 0.8 * np.sign(x) * ax ** (-0.2), 0.0)
-    g2 = pw + 15.0 * x**2 * np.cos(x**3)
-    return np.array([f1, f2]), np.vstack([g1, g2])
-
-
 def _kursawe_jac_batch(X: np.ndarray) -> np.ndarray:
-    # The arithmetic of _kursawe_evaluator's Jacobian, row by row.
     s1 = np.hypot(X[:, 0], X[:, 1])
     s2 = np.hypot(X[:, 1], X[:, 2])
     e1 = np.exp(-0.2 * s1)
     e2 = np.exp(-0.2 * s2)
     ax = np.abs(X)
     with np.errstate(divide="ignore", invalid="ignore"):
+        # d/dx of -10 exp(-0.2 s) is 2 exp(-0.2 s) x / s; the s = 0 slice is
+        # a removable direction-dependent singularity, set to 0 there.
         r1 = np.where(s1 > 0, 2.0 * e1 / s1, 0.0)
         r2 = np.where(s2 > 0, 2.0 * e2 / s2, 0.0)
+        # |x|^0.8 has unbounded slope at 0; define the derivative as 0 there.
         pw = np.where(ax > 0, 0.8 * np.sign(X) * ax ** (-0.2), 0.0)
     g1 = np.column_stack([r1 * X[:, 0], r1 * X[:, 1] + r2 * X[:, 1], r2 * X[:, 2]])
     g2 = pw + 15.0 * X**2 * np.cos(X**3)
@@ -107,7 +84,7 @@ def kursawe() -> Problem:
         name="kursawe",
         n=3,
         m=2,
-        evaluator=_kursawe_evaluator,
+        evaluator=_point_evaluator(_kursawe_f_batch, _kursawe_jac_batch),
         domain_box=np.tile([-1.5, 0.5], (3, 1)),
         default_max_iters=1500,
         f_batch=_kursawe_f_batch,
@@ -127,36 +104,7 @@ def _viennet_f_batch(X: np.ndarray) -> np.ndarray:
     return np.column_stack([f1, f2, f3])
 
 
-def _viennet_evaluator(x: np.ndarray):
-    x1, x2 = x
-    r2 = x1 * x1 + x2 * x2
-    u = 3.0 * x1 - 2.0 * x2 + 4.0
-    v = x1 - x2 + 1.0
-    q = r2 + 1.0
-    er = np.exp(-r2)
-    f = np.array(
-        [
-            0.5 * r2 + np.sin(r2),
-            u * u / 8.0 + v * v / 27.0 + 15.0,
-            1.0 / q - 1.1 * er,
-        ]
-    )
-    a1 = 1.0 + 2.0 * np.cos(r2)
-    # q * q, not q ** 2: a numpy scalar's ** 2 goes through pow and can
-    # round apart from the array square that _viennet_jac_batch takes.
-    a3 = 2.0 * (1.1 * er - 1.0 / (q * q))
-    jac = np.array(
-        [
-            [a1 * x1, a1 * x2],
-            [0.75 * u + 2.0 * v / 27.0, -0.5 * u - 2.0 * v / 27.0],
-            [a3 * x1, a3 * x2],
-        ]
-    )
-    return f, jac
-
-
 def _viennet_jac_batch(X: np.ndarray) -> np.ndarray:
-    # The arithmetic of _viennet_evaluator's Jacobian, row by row.
     x1, x2 = X[:, 0], X[:, 1]
     r2 = x1 * x1 + x2 * x2
     u = 3.0 * x1 - 2.0 * x2 + 4.0
@@ -182,7 +130,7 @@ def viennet() -> Problem:
         name="viennet",
         n=2,
         m=3,
-        evaluator=_viennet_evaluator,
+        evaluator=_point_evaluator(_viennet_f_batch, _viennet_jac_batch),
         domain_box=np.tile([-3.0, 1.5], (2, 1)),
         default_max_iters=7500,
         f_batch=_viennet_f_batch,

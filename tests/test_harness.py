@@ -399,6 +399,26 @@ class TestConfigFile:
             "paper_semantics": False,
         }
 
+    def test_every_field_is_a_key_and_echoed_in_order(self, tmp_path):
+        # Each field but the variant tuples (the file names one variant each)
+        # reads back from a config file; the report echoes the fields in
+        # declaration order, leaving out where and how outputs are written.
+        out = tmp_path / "exp"
+        config = _small_config(n_starts=1, max_iters=2, out_dir=str(out),
+                               emit_traces=True, trace_format="json")
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        values = {name: getattr(config, name) for name in names
+                  if name not in ("directions", "backtrackings")}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                        + "direction = lp-new\nbacktracking = bt-base\n")
+        assert parse_config_file(str(path)) == {
+            **values, "direction": "lp-new", "backtracking": "bt-base"}
+        run_experiment(config)
+        echoed = json.loads((out / "report.json").read_text())["config"]
+        output_only = ("out_dir", "emit_traces", "trace_format")
+        assert list(echoed) == [n for n in names if n not in output_only]
+
     def test_parse_errors_carry_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("problem kursawe\n")
@@ -437,6 +457,21 @@ class TestCli:
                 "--max-iters", value, "--workers", "1"]
         assert main(argv) == EXIT_USAGE
         assert "max_iters must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha", "2", "alpha must lie in (0, 1)"),
+            ("--c1", "0", "c1 must lie in (0, 1)"),
+            ("--theta", "0", "theta must be a positive integer"),
+            ("--epsilon", "0", "epsilon must be positive"),
+        ],
+    )
+    def test_bad_step_or_lp_setting_is_usage_error(self, capsys, flag, value, message):
+        argv = ["run", "--problem", "fonseca-fleming", "--n-starts", "2",
+                flag, value, "--workers", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")

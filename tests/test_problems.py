@@ -83,6 +83,28 @@ class TestKursawe:
         ev = evaluate(get_problem("kursawe"), np.array([0.0, 0.2, -0.4]))
         assert np.all(np.isfinite(ev.jac))
 
+    @pytest.mark.parametrize(
+        "x, jac",
+        [
+            # s1 = s2 = 0 and every x_i = 0: both rows are set to 0.
+            ((0.0, 0.0, 0.0), [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            # s1 = 0 drops r1; x1 = x2 = 0 drop their |x|^0.8 slopes.
+            ((0.0, 0.0, 0.5),
+             [[0.0, 0.0, 2.0 * np.exp(-0.1)],
+              [0.0, 0.0, 0.8 * 0.5**-0.2 + 15.0 * 0.25 * np.cos(0.125)]]),
+            # x2 = 0 between two nonzero coordinates: s1, s2 > 0.
+            ((0.3, 0.0, -0.2),
+             [[2.0 * np.exp(-0.06), 0.0, -2.0 * np.exp(-0.04)],
+              [0.8 * 0.3**-0.2 + 15.0 * 0.09 * np.cos(0.027), 0.0,
+               -0.8 * 0.2**-0.2 + 15.0 * 0.04 * np.cos(-0.008)]]),
+        ],
+    )
+    def test_jacobian_closed_form_at_zero_coordinates(self, x, jac):
+        # d/dx of -10 exp(-0.2 s) is 2 exp(-0.2 s) x / s, set to 0 on the
+        # s = 0 slice; the slope of |x|^0.8 is set to 0 at x = 0.
+        ev = evaluate(get_problem("kursawe"), np.array(x))
+        assert ev.jac == pytest.approx(np.array(jac), rel=1e-12, abs=1e-15)
+
     def test_batch_agrees_with_evaluator(self):
         prob = get_problem("kursawe")
         rng = np.random.Generator(np.random.Philox(22))
@@ -182,8 +204,11 @@ def _points_with_zeros(prob, count, seed):
 
 
 class TestBatchedJacobian:
-    # The descent evaluates its iterates through the batched kernels, so
-    # they must give the evaluator's values bit for bit.
+    # A built-in problem's evaluator is row 0 of a one-row batch, so these
+    # check that a row evaluated alone equals the same row in a batch, bit
+    # for bit. The failure retry and the one-start oracle evaluate single
+    # points, the descent whole batches; a run follows the same iterates
+    # either way only if the two agree.
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_fonseca_fleming_bit_identical_to_evaluator(self, n):
         self._check_bit_identical(fonseca_fleming(n))
@@ -227,6 +252,8 @@ class TestBatchedJacobian:
         assert J.shape == (5, 3, 2)
         assert np.array_equal(J, np.broadcast_to(a, (5, 3, 2)))
         assert prob.eval_jac_batch(np.zeros((0, 2))).shape == (0, 3, 2)
+        assert np.array_equal(prob.eval_f_batch(X), X @ a.T)
+        assert prob.eval_f_batch(np.zeros((0, 2))).shape == (0, 3)
 
 
 class TestFiniteDifferenceOracle:
