@@ -13,12 +13,8 @@ import numpy as np
 from .descent import BacktrackVariant
 from .direction import DirectionVariant
 from .harness import (
-    ALL_BACKTRACKINGS,
-    ALL_DIRECTIONS,
-    _CONFIG_KEYS,
     ExperimentConfig,
     _json_text,
-    parse_config_file,
     report_to_text,
     run_experiment,
 )
@@ -40,40 +36,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: _Parser, with_variant: bool = True):
-    p.add_argument("--problem", choices=sorted(PROBLEMS), help="benchmark problem")
+    """The experiment flags, and ``p.config_keys``: the keys a config file
+    may set, each the dest of one of them, mapped to its flag."""
+    flags = [p.add_argument("--problem", choices=sorted(PROBLEMS), help="benchmark problem")]
     if with_variant:
-        p.add_argument(
+        flags.append(p.add_argument(
             "--direction",
             choices=[d.value for d in DirectionVariant],
             help="direction subproblem variant",
-        )
-        p.add_argument(
+        ))
+        flags.append(p.add_argument(
             "--backtracking",
             choices=[b.value for b in BacktrackVariant],
             help="line-search strategy",
-        )
-    p.add_argument("--n-starts", type=int, help="number of start points")
-    p.add_argument("--seed", type=int, help="RNG seed (fallback: MGD_SEED)")
-    p.add_argument("--c1", type=float, help="Armijo constant")
-    p.add_argument("--alpha", type=float, help="backtracking shrink factor")
-    p.add_argument("--eta0", type=float, help="initial step size")
-    p.add_argument("--theta", type=int, help="max backtracking steps")
-    p.add_argument("--epsilon", type=float, help="margin added to the beta weight")
-    p.add_argument("--max-iters", type=int, help="iteration budget override")
-    p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--format", dest="trace_format", choices=["csv", "json"],
-                   help="trace/front file format")
-    p.add_argument("--workers", type=int,
-                   help="pool jobs the starts are split into (default: cores)")
-    p.add_argument(
-        "--paper-semantics",
-        action="store_true",
-        default=None,
-        help="loop on zero directions instead of stopping early",
-    )
-    p.add_argument("--traces", dest="emit_traces", action="store_true", default=None,
-                   help="write per-run trajectory files")
+        ))
+    flags += [
+        p.add_argument("--n-starts", type=int, help="number of start points"),
+        p.add_argument("--seed", type=int, help="RNG seed (fallback: MGD_SEED)"),
+        p.add_argument("--c1", type=float, help="Armijo constant"),
+        p.add_argument("--alpha", type=float, help="backtracking shrink factor"),
+        p.add_argument("--eta0", type=float, help="initial step size"),
+        p.add_argument("--theta", type=int, help="max backtracking steps"),
+        p.add_argument("--epsilon", type=float, help="margin added to the beta weight"),
+        p.add_argument("--max-iters", type=int, help="iteration budget override"),
+        p.add_argument("--out", dest="out_dir", help="output directory"),
+        p.add_argument("--format", dest="trace_format", choices=["csv", "json"],
+                       help="trace/front file format"),
+        p.add_argument("--workers", type=int,
+                       help="pool jobs the starts are split into (default: cores)"),
+        p.add_argument(
+            "--paper-semantics",
+            action="store_true",
+            default=None,
+            help="loop on zero directions instead of stopping early",
+        ),
+        p.add_argument("--traces", dest="emit_traces", action="store_true", default=None,
+                       help="write per-run trajectory files"),
+    ]
     p.add_argument("--config", help="key=value config file (flags override it)")
+    p.config_keys = {flag.dest: flag for flag in flags}
 
 
 def build_parser() -> _Parser:
@@ -92,6 +93,7 @@ def build_parser() -> _Parser:
     scan.add_argument("--out", help="output directory")
 
     _add_common(sub.add_parser("fronts", help="emit non-dominated front data"))
+    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
@@ -107,36 +109,55 @@ def _resolve_seed(value: Optional[int]) -> int:
     return 0
 
 
+def _config_flags(path: str, command: _Parser) -> list:
+    """The flags a ``key = value`` config file stands for, in file order
+    ('#' starts a comment): each key is the dest of one of the command's
+    flags, a switch takes true/false/1/0.  Each line is parsed on its own,
+    so a bad one is a usage error naming its ``path:line``."""
+    flags = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, value = (part.strip() for part in line.partition("="))
+            flag = command.config_keys.get(key)
+            try:
+                if not eq:
+                    raise UsageError(f"expected key=value, got {line!r}")
+                if flag is None:
+                    raise UsageError(f"unknown key {key!r}")
+                if flag.nargs == 0:  # a switch
+                    if value.lower() not in ("true", "false", "1", "0"):
+                        raise UsageError(f"boolean expected for {key}")
+                    line_flags = [flag.option_strings[0]] if value.lower() in ("true", "1") else []
+                else:
+                    line_flags = [f"{flag.option_strings[0]}={value}"]
+                command.parse_args(line_flags)
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
+            flags += line_flags
+    return flags
+
+
 def _build_config(args, need_out: bool = False) -> ExperimentConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    values.update(
-        (key, v) for key, v in vars(args).items() if key in _CONFIG_KEYS and v is not None
-    )
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    values = {key: v for key, v in vars(args).items() if key in names and v is not None}
 
     if "problem" not in values:
         raise UsageError("a problem must be given (--problem or config file)")
     if need_out and "out_dir" not in values:
         raise UsageError("an output directory must be given (--out)")
 
-    directions = ALL_DIRECTIONS
-    if "direction" in values:
-        directions = (DirectionVariant(values.pop("direction")),)
-    backtrackings = ALL_BACKTRACKINGS
-    if "backtracking" in values:
-        backtrackings = (BacktrackVariant(values.pop("backtracking")),)
-
-    defaults = dict(
-        n_starts=500,
-        seed=_resolve_seed(values.pop("seed", None)),
-        workers=os.cpu_count() or 1,
-    )
-    defaults.update(values)
-    if defaults["workers"] <= 1:
-        defaults["workers"] = 0
+    if getattr(args, "direction", None):
+        values["directions"] = (DirectionVariant(args.direction),)
+    if getattr(args, "backtracking", None):
+        values["backtrackings"] = (BacktrackVariant(args.backtracking),)
+    values["seed"] = _resolve_seed(args.seed)
+    workers = values.get("workers", os.cpu_count() or 1)
+    values["workers"] = workers if workers > 1 else 0
     try:
-        return ExperimentConfig(
-            directions=directions, backtrackings=backtrackings, **defaults
-        )
+        return ExperimentConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -187,9 +208,12 @@ def _cmd_scan(args) -> int:
     else:
         res = [256 if problem.n == 2 else 64] * problem.n
 
-    mask = critical_region_scan(
-        problem, problem.domain_box, res, pair, args.tol
-    )
+    try:
+        mask = critical_region_scan(
+            problem, problem.domain_box, res, pair, args.tol
+        )
+    except ValueError as exc:  # its own checks of the pair and the grid
+        raise UsageError(str(exc)) from exc
     marked = int(mask.sum())
     sys.stdout.write(
         f"problem = {args.problem}\npair = {pair[0]},{pair[1]}\n"
@@ -230,9 +254,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's flags go first, so the command line overrides them.
+            flags = _config_flags(args.config, parser.commands[args.command])
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -184,11 +184,14 @@ def _evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _at_iteration(k: int, exc: Exception) -> Exception:
-    """``exc`` restated with the iteration it ended, as run_mgd raises it."""
+    """``exc`` restated with the iteration it ended, as run_mgd raises it:
+    its type and attributes, its message prefixed ``iteration k: ``; an
+    exception whose type takes other constructor arguments as it is."""
     try:
         err = type(exc)(f"iteration {k}: {exc}")
-    except Exception as failed:  # an exception type that takes other arguments
-        return failed
+    except Exception:  # a type whose constructor takes other arguments
+        return exc
+    vars(err).update(vars(exc))
     err.__cause__ = exc
     return err
 

@@ -7,8 +7,9 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -197,15 +198,14 @@ def run_variant(
     return results, failures
 
 
-def run_experiment(config: ExperimentConfig, keep_results: bool = False):
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every requested variant over one shared list of start points.
 
-    Returns the report, or (report, per-variant results dict) when
-    ``keep_results`` is set.  Failed runs contribute empty output sets and
-    are counted in the report.  With an output directory configured, the
-    report (and traces, if requested) are written there.  With
-    ``config.workers > 1`` and no traces, every variant runs in one shared
-    worker pool, which is replaced after a variant whose worker died.
+    Failed runs contribute empty output sets and are counted in the
+    report.  With an output directory configured, the report (and traces,
+    if requested) are written there.  With ``config.workers > 1`` and no
+    traces, every variant runs in one shared worker pool, which is
+    replaced after a variant whose worker died.
     """
     problem = get_problem(config.problem)
     starts = sample_starts(
@@ -251,7 +251,7 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
                         failure_causes=dict(sorted(causes.items())),
                     )
                 )
-                if keep_results or config.out_dir:
+                if config.out_dir:
                     all_results[(direction, backtracking)] = results
     finally:
         if pool is not None:
@@ -269,20 +269,14 @@ def run_experiment(config: ExperimentConfig, keep_results: bool = False):
     if config.out_dir:
         emit_traces(report, all_results, config.out_dir, config.trace_format,
                     include_traces=config.emit_traces)
-    if keep_results:
-        return report, all_results
     return report
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
     """The settings a report records, in field order: all but where and in
-    which format the outputs go, with the variant tuples as value lists."""
-    echo = {}
-    for f in fields(config):
-        if f.name not in ("out_dir", "emit_traces", "trace_format"):
-            value = getattr(config, f.name)
-            echo[f.name] = [v.value for v in value] if isinstance(value, tuple) else value
-    return echo
+    which format the outputs go."""
+    output_only = ("out_dir", "emit_traces", "trace_format")
+    return {k: v for k, v in _plain(config).items() if k not in output_only}
 
 
 # --- serialization -------------------------------------------------------
@@ -316,28 +310,20 @@ def _json_text(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
+def _plain(value):
+    """``value`` in plain data: a dataclass as a dict of its fields in
+    declaration order, an enum as its value, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "problem": report.problem,
-        "n_starts": report.n_starts,
-        "seed": report.seed,
-        "generator": report.generator,
-        "config": report.config,
-        "variants": [
-            {
-                "direction": v.direction.value,
-                "backtracking": v.backtracking.value,
-                "pareto_ratio": v.pareto_ratio,
-                "termination_counts": v.termination_counts,
-                "failures": v.failures,
-                "failure_messages": list(v.failure_messages),
-                "wall_time": v.wall_time,
-                "failure_causes": v.failure_causes,
-            }
-            for v in report.variants
-        ],
-        "total_wall_time": report.total_wall_time,
-    }
+    return _plain(report)
 
 
 def report_to_text(report: ExperimentReport) -> str:
@@ -473,45 +459,3 @@ def _trace_text(result: RunResult, fmt: str) -> str:
         for rec in result.trace
     ]
     return _json_text(payload) + "\n"
-
-
-# --- config files --------------------------------------------------------
-
-def _config_key(name: str, kind) -> tuple:
-    """A field's config-file key and value type: ``Optional[T]`` reads as T,
-    and a variant tuple as its singular key naming one variant."""
-    if kind is tuple:
-        return name.removesuffix("s"), str
-    if get_origin(kind) is Union:
-        kind = get_args(kind)[0]
-    return name, kind
-
-
-_CONFIG_KEYS = dict(
-    _config_key(name, kind)
-    for name, kind in get_type_hints(ExperimentConfig).items()
-)
-
-
-def parse_config_file(path: str) -> dict:
-    """Flat key=value config text; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _CONFIG_KEYS[key]
-            if kind is bool:
-                if val.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError(f"{path}:{lineno}: boolean expected for {key}")
-                values[key] = val.lower() in ("true", "1")
-            else:
-                values[key] = kind(val)
-    return values

@@ -11,8 +11,9 @@ tableau in plain Python lists: the LPs here are tiny (a handful of
 variables and rows), and for one LP list arithmetic beats numpy's
 per-call overhead.  ``_simplex_batch`` solves many LPs of one shape in
 one padded numpy tableau and makes, for each of them, the pivots
-``_simplex_core`` makes, with the same floating-point operations, so it
-pays once there are a few dozen LPs per call.
+``_simplex_core`` makes, with the same floating-point operations.  The
+descent switches to it at ``direction._BATCH_MIN_WIDTH`` LPs per call,
+the measured crossover.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 _TOL = 1e-9  # feasibility / optimality tolerance
+_PHASE1_TOL = 1e-7  # a phase-1 optimum (sum of artificials) above this: infeasible
 
 
 class SolverFailure(RuntimeError):
@@ -200,7 +202,7 @@ def _simplex_core(cs, As, bs):
             cost[col] = 0.0
         if not _iterate(T, basis, nrows, ncols):
             raise SolverFailure("phase-1 objective unbounded")
-        if -T[nrows][ncols] > 1e-7:
+        if -T[nrows][ncols] > _PHASE1_TOL:
             return LpStatus.INFEASIBLE, None
         # Drive leftover (degenerate) artificials out, drop redundant rows.
         keep = []
@@ -368,7 +370,7 @@ def _simplex_batch(cs, As, bs):
             cost[:, base:ncols] = 0.0
             for j in _iterate_batch(T, basis, ncols):
                 outcomes[j] = SolverFailure("phase-1 objective unbounded")
-            for j in np.flatnonzero(-cost[:, -1] > 1e-7).tolist():
+            for j in np.flatnonzero(-cost[:, -1] > _PHASE1_TOL).tolist():
                 outcomes.setdefault(j, LpStatus.INFEASIBLE)
             # Drive leftover (degenerate) artificials out, row by row, on
             # the first column with an entry above _TOL.

@@ -165,6 +165,19 @@ def _backtrack_oracle(
     return eta, x + eta * p, False
 
 
+def _at_iteration(k: int, exc: Exception) -> Exception:
+    """``exc`` with the iteration it ended: the same type and attributes,
+    the message prefixed, unless the type takes other constructor
+    arguments; then ``exc`` itself."""
+    try:
+        err = type(exc)(f"iteration {k}: {exc}")
+    except Exception:
+        return exc
+    err.__dict__.update(exc.__dict__)
+    err.__cause__ = exc
+    return err
+
+
 def run_mgd_oracle(
     problem: Problem,
     x0: np.ndarray,
@@ -204,7 +217,7 @@ def run_mgd_oracle(
     try:
         ev = evaluate(problem, np.asarray(x0, dtype=float))
     except Exception as exc:
-        raise type(exc)(f"iteration 0: {exc}") from exc
+        raise _at_iteration(0, exc)
 
     for k in range(K):
         try:
@@ -225,7 +238,7 @@ def run_mgd_oracle(
                 termination = Termination.DOMINATED_STEP
                 break
         except Exception as exc:
-            raise type(exc)(f"iteration {k}: {exc}") from exc
+            raise _at_iteration(k, exc)
 
         if bt_new and not dominates(ev_new.f, ev.f):
             stored_x.append(ev.x)

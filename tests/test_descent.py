@@ -1,5 +1,6 @@
 """Tests for backtracking line search and the descent loops."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from mgdkit import (
     CriticalityCase,
     DirectionConfig,
     DirectionVariant,
+    EvaluationError,
     Problem,
     SegmentKind,
     Termination,
@@ -310,6 +312,28 @@ class TestRunMgd:
         prob = _problem_single_quadratic()
         with pytest.raises(ValueError):
             run_mgd(prob, np.zeros(2), BacktrackParams(), LP_NEW, K=0)
+
+    def test_failed_run_keeps_error_type_and_attributes(self):
+        # Objective 1 turns non-finite once the run passes x = 3: the run
+        # ends with evaluate's EvaluationError naming it, the iteration
+        # prefixed to its message, here and in the one-start oracle.
+        base = _problem_1d_pair()
+
+        def evaluator(x):
+            f, jac = base.evaluator(x)
+            return (np.array([f[0], np.nan]) if x[0] < 3.0 else f), jac
+
+        problem = dataclasses.replace(base, evaluator=evaluator)
+        params = BacktrackParams(variant=BacktrackVariant.BT_NEW)
+        errors = []
+        for run in (run_mgd, run_mgd_oracle):
+            with pytest.raises(EvaluationError) as info:
+                run(problem, np.array([4.0]), params, LP_NEW)
+            errors.append(info.value)
+        got, expected = errors
+        assert got.objective_index == expected.objective_index == 1
+        assert str(got) == str(expected)
+        assert str(got).startswith("iteration ") and not str(got).startswith("iteration 0:")
 
 
 def assert_same_run(got, expected):

@@ -1,14 +1,16 @@
 """Byte-identity of the CLI's outputs against recorded sha256 digests.
 
 A small Table-1 run with traces and three domain scans are hashed file by
-file: every front, trace and scan-mask file (reports carry wall times and
-are left out).  A change that moves any of these bytes must say why and
-record the digests again with ``PYTHONPATH=src python tests/test_golden.py``.
+file: every front, trace and scan-mask file, and every report with its
+wall-time values blanked.  A change that moves any of these bytes must say
+why and record the digests again with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
 import json
 import os
+import re
 import sys
 
 from mgdkit.cli import EXIT_OK, main
@@ -27,17 +29,34 @@ COMMANDS = (
 )
 
 
+# The wall-time values of report.json and report.txt: the two JSON keys,
+# the text's total line and the last column of its variant table.
+WALL_TIMES = re.compile(
+    rb'(?<="wall_time": )\S+?(?=,?$)|(?<="total_wall_time": )\S+$'
+    rb"|(?<=^total_wall_time = )\S+$|(?<=^bt-)(\S+ +lp-\S+ +\S+ +\d+ +)\S+$",
+    re.M,
+)
+
+
+def _blank_wall_times(data: bytes) -> bytes:
+    return WALL_TIMES.sub(lambda m: (m.group(1) or b"") + b"_", data)
+
+
 def output_digests(root: str) -> dict:
-    """Run every command into ``root`` and hash its front, trace and mask files."""
+    """Run every command into ``root`` and hash its front, trace, mask and
+    report files, the reports with their wall times blanked."""
     for subdir, *argv in COMMANDS:
         assert main([*argv, "--out", os.path.join(root, subdir)]) == EXIT_OK
     digests = {}
     for dirpath, _, names in os.walk(root):
         for name in names:
-            if name.startswith(("front_", "trace_", "scan_")):
+            if name.startswith(("front_", "trace_", "scan_", "report.")):
                 path = os.path.join(dirpath, name)
                 with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
+                    data = fh.read()
+                if name.startswith("report."):
+                    data = _blank_wall_times(data)
+                digest = hashlib.sha256(data).hexdigest()
                 digests[os.path.relpath(path, root).replace(os.sep, "/")] = digest
     return dict(sorted(digests.items()))
 

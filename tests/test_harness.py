@@ -25,7 +25,6 @@ from mgdkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from mgdkit.harness import (
     _json_text,
     _run_chunk,
-    parse_config_file,
     report_to_dict,
     report_to_text,
     run_variant,
@@ -44,6 +43,13 @@ def _chunk_dying_in_first_variant(args):
     if (params.variant, dir_cfg.variant) == (BacktrackVariant.BT_BASE, DirectionVariant.LP_BASE):
         os._exit(3)
     return _run_chunk(args)
+
+
+class _TwoArgError(Exception):
+    """An error whose constructor takes two arguments."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
 
 
 def _small_config(**overrides):
@@ -110,18 +116,24 @@ class TestRunExperiment:
                 v["wall_time"] = 0.0
         assert a == b
 
-    def test_paired_starts_shared_across_variants(self):
-        from mgdkit import StartSampler, get_problem, sample_starts
-
-        config = _small_config(emit_traces=True, out_dir=None, max_iters=5)
-        _, results = run_experiment(config, keep_results=True)
+    def test_paired_starts_shared_across_variants(self, tmp_path):
+        # Every variant's runs start from the same sampled points: the
+        # first row of each run's trace file.
+        config = _small_config(emit_traces=True, out_dir=str(tmp_path), max_iters=5)
+        run_experiment(config)
         problem = get_problem(config.problem)
         expected = sample_starts(
             StartSampler(problem.domain_box, config.n_starts, config.seed)
         )
-        for runs in results.values():
-            starts = np.array([r.trace[0].x for r in runs])
-            assert np.array_equal(starts, expected)
+        for direction in DirectionVariant:
+            for backtracking in BacktrackVariant:
+                label = variant_label(direction, backtracking)
+                starts = []
+                for j in range(config.n_starts):
+                    trace = (tmp_path / f"trace_{label}_{j:05d}.csv").read_text()
+                    row = trace.splitlines()[1].split(",")
+                    starts.append([float(v) for v in row[1 : 1 + problem.n]])
+                assert np.array_equal(np.array(starts), expected)
 
     def test_failures_recorded_not_raised(self):
         # An evaluator blowing up on some starts must not kill the
@@ -293,6 +305,25 @@ class TestRunExperiment:
             for cause, count in v.failure_causes.items():
                 assert f"failure_causes.{label}.{cause} = {count}" in text
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failure_cause_keeps_exception_type(self, monkeypatch, workers):
+        # A run ended by an exception that cannot be rebuilt from one message
+        # fails with that exception, not with the TypeError of rebuilding it.
+        base = problems_mod.fonseca_fleming(3)
+
+        def evaluator(x):
+            if x[0] > 0.5:
+                raise _TwoArgError("E1", "bad point")
+            return base.evaluator(x)
+
+        faulty = dataclasses.replace(base, evaluator=evaluator, f_batch=None, jac_batch=None)
+        monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: faulty)
+        report = run_experiment(_small_config(n_starts=20, seed=2, max_iters=5, workers=workers))
+        for v in report.variants:
+            assert v.failures > 0
+            assert v.failure_causes == {"_TwoArgError": v.failures}
+            assert all(m.endswith(": ('E1', 'bad point')") for m in v.failure_messages)
+
     def test_parallel_matches_serial(self, tmp_path):
         # A 2-worker pool writes byte-identical front files and the same
         # report.json as a serial run, apart from wall times and the
@@ -382,24 +413,34 @@ class TestPersistence:
 
 
 class TestConfigFile:
-    def test_parse_and_override(self, tmp_path):
+    @staticmethod
+    def _echo(out) -> dict:
+        return json.loads((out / "report.json").read_text())["config"]
+
+    def test_parse_and_override(self, tmp_path, capsys):
+        # Values are typed by their flags; command-line flags override them.
         path = tmp_path / "exp.cfg"
         path.write_text(
             "# experiment setup\n"
             "problem = kursawe\n"
             "n_starts = 4  # small\n"
             "seed = 11\n"
+            "c1 = 1e-8\n"
             "paper_semantics = false\n"
+            "max_iters = 3\n"
         )
-        values = parse_config_file(str(path))
-        assert values == {
-            "problem": "kursawe",
-            "n_starts": 4,
-            "seed": 11,
+        argv = ["run", "--config", str(path), "--workers", "0"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
+        echo = self._echo(tmp_path / "a")
+        assert {k: echo[k] for k in ("problem", "n_starts", "seed", "c1", "paper_semantics")} == {
+            "problem": "kursawe", "n_starts": 4, "seed": 11, "c1": 1e-8,
             "paper_semantics": False,
         }
+        assert [type(echo[k]) for k in ("n_starts", "c1")] == [int, float]
+        assert main([*argv, "--seed", "12", "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert self._echo(tmp_path / "b")["seed"] == 12
 
-    def test_every_field_is_a_key_and_echoed_in_order(self, tmp_path):
+    def test_every_field_is_a_key_and_echoed_in_order(self, tmp_path, capsys):
         # Each field but the variant tuples (the file names one variant each)
         # reads back from a config file; the report echoes the fields in
         # declaration order, leaving out where and how outputs are written.
@@ -412,21 +453,55 @@ class TestConfigFile:
         path = tmp_path / "all.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
                         + "direction = lp-new\nbacktracking = bt-base\n")
-        assert parse_config_file(str(path)) == {
-            **values, "direction": "lp-new", "backtracking": "bt-base"}
-        run_experiment(config)
-        echoed = json.loads((out / "report.json").read_text())["config"]
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "front_bt-base_lp-new.json", "report.json", "report.txt",
+            "trace_bt-base_lp-new_00000.json",
+        ]
         output_only = ("out_dir", "emit_traces", "trace_format")
+        echoed = self._echo(out)
         assert list(echoed) == [n for n in names if n not in output_only]
+        assert echoed == {
+            **{k: v for k, v in values.items() if k not in output_only},
+            "directions": ["lp-new"], "backtrackings": ["bt-base"],
+        }
 
-    def test_parse_errors_carry_location(self, tmp_path):
+    def test_parse_errors_carry_location(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("problem kursawe\n")
-        with pytest.raises(ValueError, match="bad.cfg:1"):
-            parse_config_file(str(path))
-        path.write_text("frobnicate = 3\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_config_file(str(path))
+        for text, message in [
+            ("problem kursawe\n", "bad.cfg:1: expected key=value"),
+            ("problem = kursawe\n\nfrobnicate = 3\n", "bad.cfg:3: unknown key 'frobnicate'"),
+            ("config = other.cfg\n", "bad.cfg:1: unknown key 'config'"),
+        ]:
+            path.write_text(text)
+            assert main(["run", "--config", str(path)]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, flags",
+        [
+            ("direction", "lp-bogus", ["--direction", "lp-bogus"]),
+            ("n_starts", "two", ["--n-starts", "two"]),
+            ("problem", "nope", ["--problem", "nope"]),
+            ("emit_traces", "yes", ["--traces=yes"]),
+        ],
+    )
+    def test_bad_value_in_file_or_flag_is_usage_error(self, tmp_path, capsys, key, value, flags):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = kursawe\nn_starts = 2\n{key} = {value}\n")
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {path}:3: ")
+        argv = ["run", "--problem", "kursawe", "--n-starts", "2", *flags]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_table1_file_names_no_variant(self, tmp_path, capsys):
+        # table1 always runs all four variants and has no variant flags, so
+        # its config file takes no variant key.
+        path = tmp_path / "t1.cfg"
+        path.write_text("n_starts = 2\ndirection = lp-new\n")
+        assert main(["table1", "--config", str(path)]) == EXIT_USAGE
+        assert "t1.cfg:2: unknown key 'direction'" in capsys.readouterr().err
 
 
 class TestCli:
@@ -507,6 +582,23 @@ class TestCli:
         )
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pair, resolution, message",
+        [
+            ("1,1", "16", "pair must be two distinct objective numbers"),
+            ("1,4", "16", "pair must be two distinct objective numbers"),
+            ("1,3", "1", "resolution needs >= 2 cells per axis"),
+        ],
+    )
+    def test_scan_bad_pair_or_grid_is_usage_error(self, capsys, pair, resolution, message):
+        # Viennet has m = 3 objectives on a 2-D domain.
+        code = main(
+            ["scan", "--problem", "viennet", "--pair", pair, "--tol", "1e-3",
+             "--resolution", resolution]
+        )
+        assert code == EXIT_USAGE
+        assert f"usage error: {message}" in capsys.readouterr().err
 
     def test_scan_mask_file_cells(self, tmp_path, capsys):
         argv = ["scan", "--problem", "viennet", "--pair", "1,3", "--tol", "1e-8",
