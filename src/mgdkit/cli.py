@@ -133,29 +133,36 @@ def _config_flags(path: str, command: _Parser) -> list:
                     line_flags = [flag.option_strings[0]] if value.lower() in ("true", "1") else []
                 else:
                     line_flags = [f"{flag.option_strings[0]}={value}"]
-                command.parse_args(line_flags)
-            except UsageError as exc:
+                # The config's own range checks (the problem's are its choices).
+                values = _config_values(command.parse_args(line_flags))
+                ExperimentConfig(**{"problem": "", **values})
+            except (UsageError, ValueError) as exc:
                 raise UsageError(f"{path}:{lineno}: {exc}") from None
             flags += line_flags
     return flags
 
 
-def _build_config(args, need_out: bool = False) -> ExperimentConfig:
+def _config_values(args) -> dict:
+    """The :class:`ExperimentConfig` fields that parsed flags set."""
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values = {key: v for key, v in vars(args).items() if key in names and v is not None}
+    if getattr(args, "direction", None):
+        values["directions"] = (DirectionVariant(args.direction),)
+    if getattr(args, "backtracking", None):
+        values["backtrackings"] = (BacktrackVariant(args.backtracking),)
+    return values
 
+
+def _build_config(args, need_out: bool = False) -> ExperimentConfig:
+    values = _config_values(args)
     if "problem" not in values:
         raise UsageError("a problem must be given (--problem or config file)")
     if need_out and "out_dir" not in values:
         raise UsageError("an output directory must be given (--out)")
 
-    if getattr(args, "direction", None):
-        values["directions"] = (DirectionVariant(args.direction),)
-    if getattr(args, "backtracking", None):
-        values["backtrackings"] = (BacktrackVariant(args.backtracking),)
     values["seed"] = _resolve_seed(args.seed)
     workers = values.get("workers", os.cpu_count() or 1)
-    values["workers"] = workers if workers > 1 else 0
+    values["workers"] = 0 if workers == 1 else workers
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

@@ -52,6 +52,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.trace_format not in ("csv", "json"):
@@ -103,15 +105,12 @@ def variant_label(direction: DirectionVariant, backtracking: BacktrackVariant) -
     return f"{backtracking.value}_{direction.value}"
 
 
-def run_output_set(result: RunResult, backtracking: BacktrackVariant) -> list:
-    """A run's contribution to the global comparison.
-
-    The strictly-decreasing strategy only produces its final point; the
-    non-domination strategy additionally contributes its stored antichain,
-    filtered together with the final point.
-    """
+def run_output_set(result: RunResult) -> list:
+    """A run's contribution to the global comparison: its final point,
+    filtered together with the antichain it stored (bt-new only; the
+    strictly-decreasing bt-base stores none)."""
     final = (result.x_hat, result.f_hat)
-    if backtracking is BacktrackVariant.BT_BASE or not result.stored_set:
+    if not result.stored_set:
         return [final]
     return nondominated_filter([final] + list(result.stored_set))
 
@@ -229,10 +228,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     # A dead worker breaks the pool for good.
                     pool.shutdown()
                     pool = ProcessPoolExecutor(max_workers=config.workers)
-                outputs = [
-                    run_output_set(r, backtracking) if r is not None else []
-                    for r in results
-                ]
+                outputs = [run_output_set(r) if r is not None else [] for r in results]
                 ratio = global_pareto_ratio(outputs)
                 counts: dict = {t.value: 0 for t in Termination}
                 for r in results:
@@ -252,7 +248,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     )
                 )
                 if config.out_dir:
-                    all_results[(direction, backtracking)] = results
+                    all_results[(direction, backtracking)] = (results, outputs)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -328,14 +324,10 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 def report_to_text(report: ExperimentReport) -> str:
     lines = [
-        f"problem = {report.problem}",
-        f"n_starts = {report.n_starts}",
-        f"seed = {report.seed}",
-        f"generator = {report.generator}",
-        f"total_wall_time = {format_float(report.total_wall_time)}",
-        "",
-        "backtracking  direction  pareto_ratio  failures  wall_time",
+        f"{f.name} = {_cell(getattr(report, f.name))}"
+        for f in fields(report) if f.name not in ("config", "variants")
     ]
+    lines += ["", "backtracking  direction  pareto_ratio  failures  wall_time"]
     for v in report.variants:
         lines.append(
             f"{v.backtracking.value:<12}  {v.direction.value:<9}  "
@@ -361,8 +353,11 @@ def emit_traces(
 ) -> list:
     """Write the report, per-variant front files, and per-run traces.
 
-    Returns the list of written file paths.  Output is byte-stable for
-    identical inputs: fixed field order, floats at 17 significant digits.
+    ``run_results`` maps (direction, backtracking) to the variant's
+    (results, output sets), one entry per start each, as
+    :func:`run_experiment` computes them.  Returns the list of written
+    file paths.  Output is byte-stable for identical inputs: fixed field
+    order, floats at 17 significant digits.
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
@@ -385,72 +380,31 @@ def emit_traces(
     _write("report.json", _json_text(report_to_dict(report)) + "\n")
     _write("report.txt", report_to_text(report))
 
-    for (direction, backtracking), results in sorted(
+    for (direction, backtracking), (results, outputs) in sorted(
         run_results.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
         label = variant_label(direction, backtracking)
-        outputs = [
-            run_output_set(r, backtracking) if r is not None else [] for r in results
-        ]
         union = [pt for run in outputs for pt in run]
         front = nondominated_filter(union)
-        _write(f"front_{label}.{fmt}", _front_text(front, fmt))
+        _write(f"front_{label}.{fmt}", _table_text(_front_rows(front), fmt))
         if include_traces:
             for j, result in enumerate(results):
                 if result is None or not result.trace:
                     continue
-                _write(f"trace_{label}_{j:05d}.{fmt}", _trace_text(result, fmt))
+                _write(f"trace_{label}_{j:05d}.{fmt}", _table_text(_trace_rows(result), fmt))
     return written
 
 
-def _front_text(front: list, fmt: str) -> str:
-    if not front:
-        return "" if fmt == "csv" else "[]\n"
-    n = len(front[0][0])
-    m = len(front[0][1])
-    if fmt == "csv":
-        header = [f"x{i}" for i in range(n)] + [f"f{i}" for i in range(m)]
-        rows = [",".join(header)]
-        for x, f in front:
-            rows.append(",".join(format_float(v) for v in list(x) + list(f)))
-        return "\n".join(rows) + "\n"
-    payload = [
-        {"x": [float(v) for v in x], "f": [float(v) for v in f]} for x, f in front
-    ]
-    return _json_text(payload) + "\n"
+def _front_rows(front: list) -> list:
+    return [{"x": [float(v) for v in x], "f": [float(v) for v in f]} for x, f in front]
 
 
-def _trace_text(result: RunResult, fmt: str) -> str:
-    n = result.x_hat.size
-    m = result.f_hat.size
-    if fmt == "csv":
-        header = (
-            ["k"]
-            + [f"x{i}" for i in range(n)]
-            + [f"f{i}" for i in range(m)]
-            + ["eta", "beta_star", "armijo_satisfied", "critical_case"]
-        )
-        rows = [",".join(header)]
-        for rec in result.trace:
-            rows.append(
-                ",".join(
-                    [str(rec.k)]
-                    + [format_float(v) for v in rec.x]
-                    + [format_float(v) for v in rec.f]
-                    + [
-                        format_float(rec.eta),
-                        format_float(rec.beta_star),
-                        str(int(rec.armijo_satisfied)),
-                        rec.critical_case.value,
-                    ]
-                )
-            )
-        return "\n".join(rows) + "\n"
-    payload = [
+def _trace_rows(result: RunResult) -> list:
+    return [
         {
             "k": rec.k,
-            "x": [float(v) for v in rec.x],
-            "f": [float(v) for v in rec.f],
+            "x": rec.x.tolist(),
+            "f": rec.f.tolist(),
             "eta": rec.eta,
             "beta_star": rec.beta_star,
             "armijo_satisfied": bool(rec.armijo_satisfied),
@@ -458,4 +412,32 @@ def _trace_text(result: RunResult, fmt: str) -> str:
         }
         for rec in result.trace
     ]
-    return _json_text(payload) + "\n"
+
+
+def _cell(value) -> str:
+    """A scalar as CSV and report.txt write it."""
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+def _table_text(rows: list, fmt: str) -> str:
+    """Rows of dicts, keys in column order, as JSON or as CSV: there a list
+    value spreads over one column per entry, named by its key and index
+    (``x0``, ``x1``, ...), a float has 17 significant digits, a bool is 0/1."""
+    if fmt == "json":
+        return _json_text(rows) + "\n"
+    if not rows:
+        return ""
+    header = []
+    for k, v in rows[0].items():
+        header += [f"{k}{i}" for i in range(len(v))] if isinstance(v, list) else [k]
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row.values():
+            cells += map(_cell, v) if isinstance(v, list) else [_cell(v)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

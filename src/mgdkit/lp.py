@@ -410,15 +410,6 @@ def _simplex_batch(cs, As, bs):
 def solve_lp(spec: LpSpec) -> LpResult:
     """Solve a bounded-variable LP; infeasible/unbounded go into status."""
     cs, As, bs, col_orig, col_sign, shift = _to_standard_form(spec)
-
-    if bs.size == 0:
-        # Pure box problem: the optimum sits at y = 0 unless some cost is
-        # negative, in which case that variable escapes to +infinity.
-        if np.any(cs < -_TOL):
-            return LpResult(status=LpStatus.UNBOUNDED)
-        rho = shift
-        return LpResult(LpStatus.OPTIMAL, rho=rho, objective_value=float(spec.c @ rho))
-
     status, y = _simplex_core(cs.tolist(), As.tolist(), bs.tolist())
     if status is not LpStatus.OPTIMAL:
         return LpResult(status=status)

@@ -1,9 +1,10 @@
 """Byte-identity of the CLI's outputs against recorded sha256 digests.
 
-A small Table-1 run with traces and three domain scans are hashed file by
-file: every front, trace and scan-mask file, and every report with its
-wall-time values blanked.  A change that moves any of these bytes must say
-why and record the digests again with
+A small Table-1 run with traces, written once as CSV and once as JSON, and
+three domain scans are hashed file by file: every front, trace and
+scan-mask file, and every report with its wall-time values blanked.  A
+change that moves any of these bytes must say why and record the digests
+again with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -20,6 +21,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 COMMANDS = (
     ("table1", "table1", "--n-starts", "3", "--max-iters", "40", "--seed", "42",
      "--workers", "0", "--traces"),
+    ("table1-json", "table1", "--n-starts", "3", "--max-iters", "40", "--seed", "42",
+     "--workers", "0", "--traces", "--format", "json"),
     ("scan", "scan", "--problem", "viennet", "--pair", "1,3", "--tol", "1e-8",
      "--resolution", "64"),
     ("scan", "scan", "--problem", "kursawe", "--pair", "1,2", "--tol", "1e-1",

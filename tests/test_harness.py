@@ -72,6 +72,8 @@ class TestConfig:
             _small_config(trace_format="xml")
         with pytest.raises(ValueError):
             _small_config(directions=())
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            _small_config(workers=-1)
         for max_iters in (0, -3):
             with pytest.raises(ValueError, match="max_iters"):
                 _small_config(max_iters=max_iters)
@@ -134,6 +136,23 @@ class TestRunExperiment:
                     row = trace.splitlines()[1].split(",")
                     starts.append([float(v) for v in row[1 : 1 + problem.n]])
                 assert np.array_equal(np.array(starts), expected)
+
+    def test_output_sets_computed_once(self, monkeypatch, tmp_path):
+        # The ratio and the front files share each run's output set: one
+        # run_output_set call per successful run per variant.
+        calls = []
+
+        def counted(result, *args):
+            calls.append(result)
+            return real(result, *args)
+
+        real = harness_mod.run_output_set
+        monkeypatch.setattr(harness_mod, "run_output_set", counted)
+        report = run_experiment(_small_config(out_dir=str(tmp_path), n_starts=3, max_iters=20))
+        succeeded = sum(3 - v.failures for v in report.variants)
+        assert succeeded == 12
+        assert len(calls) == succeeded
+        assert len({id(r) for r in calls}) == succeeded
 
     def test_failures_recorded_not_raised(self):
         # An evaluator blowing up on some starts must not kill the
@@ -484,6 +503,10 @@ class TestConfigFile:
             ("n_starts", "two", ["--n-starts", "two"]),
             ("problem", "nope", ["--problem", "nope"]),
             ("emit_traces", "yes", ["--traces=yes"]),
+            # Values that parse but fail the config's own range checks.
+            ("n_starts", "0", ["--n-starts", "0"]),
+            ("alpha", "2", ["--alpha", "2"]),
+            ("workers", "-2", ["--workers", "-2"]),
         ],
     )
     def test_bad_value_in_file_or_flag_is_usage_error(self, tmp_path, capsys, key, value, flags):

@@ -68,6 +68,34 @@ class TestSolveLpExamples:
         spec = _spec([1.0], np.empty((0, 1)), [], [-INF], [0.0])
         assert solve_lp(spec).status is LpStatus.UNBOUNDED
 
+    @pytest.mark.parametrize(
+        "c, lower, upper, rho",
+        [
+            ([1.0, -2.0], [-1.5, -INF], [INF, 3.0], [-1.5, 3.0]),  # one-sided bounds
+            ([0.0, 2.0], [-INF, 0.5], [INF, INF], [0.0, 0.5]),  # a free variable, no cost
+        ],
+    )
+    def test_no_rows_optimal(self, c, lower, upper, rho):
+        # No constraint rows and no two-sided bound: the simplex runs with
+        # an empty tableau and returns the bounds the costs push toward.
+        spec = _spec(c, np.empty((0, 2)), [], lower, upper)
+        res = solve_lp(spec)
+        _check_result(spec, res)
+        assert res.rho.tolist() == rho
+        assert res.objective_value == float(np.dot(c, rho))
+
+    @pytest.mark.parametrize(
+        "c, lower, upper",
+        [
+            ([-1.0, 0.0], [0.0, -INF], [INF, 0.0]),  # cost pushes past the open upper side
+            ([0.0, 1.0], [-INF, -INF], [INF, INF]),  # a free variable with a cost
+            ([1e-3, 1.0], [-INF, 2.0], [4.0, INF]),  # a positive cost on the open lower side
+        ],
+    )
+    def test_no_rows_unbounded(self, c, lower, upper):
+        spec = _spec(c, np.empty((0, 2)), [], lower, upper)
+        assert solve_lp(spec).status is LpStatus.UNBOUNDED
+
     def test_determinism(self):
         rng = np.random.Generator(np.random.Philox(3))
         spec = _spec(
