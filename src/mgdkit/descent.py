@@ -12,6 +12,7 @@ optimals and pruned to an antichain at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -57,8 +58,8 @@ class BacktrackParams:
             raise ValueError("c1 must lie in (0, 1)")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not (self.eta0 > 0 and math.isfinite(self.eta0)):
+            raise ValueError("eta0 must be positive and finite")
         if self.theta < 1:
             raise ValueError("theta must be a positive integer")
         if self.eta_hat is not None and self.eta_hat < 0:

@@ -47,8 +47,8 @@ class DirectionConfig:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 from typing import Optional
 
 import numpy as np
@@ -277,33 +279,59 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 # --- serialization -------------------------------------------------------
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+# Every float an output file holds: 17 significant digits round-trip a double.
+FLOAT_FORMAT = "%.17g"
 
 
 def _json_text(obj, indent: int = 0) -> str:
-    """JSON with floats rendered at 17 significant digits."""
+    """JSON with floats rendered at 17 significant digits.  A list of plain
+    ints, of plain floats, or of equal-length rows of plain ints is rendered
+    in one string operation; any other list item by item."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_json_text(v, indent + 1)}'
+            f'{pad}  {_json_str(str(k))}: {_json_text(v, indent + 1)}'
             for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            body = sep.join(map(str, obj))
+        elif kinds == {float}:
+            body = sep.join([FLOAT_FORMAT] * len(obj)) % tuple(obj)
+        else:
+            body = _int_table(obj, kinds, inner)
+            if body is None:
+                body = sep.join([_json_text(v, indent + 1) for v in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    return json.dumps(str(obj))
+        return FLOAT_FORMAT % obj
+    return _json_str(str(obj))
+
+
+def _int_table(rows, kinds: set, inner: str) -> Optional[str]:
+    """The items of a JSON list, indented by ``inner``, when they are rows of
+    plain ints all of one length (such as ``np.argwhere(...).tolist()``),
+    through one ``%`` template; None for any other list."""
+    if not kinds <= {list, tuple} or len(set(map(len, rows))) != 1:
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        return None
+    item = inner + "  "
+    row = "[\n" + item + (",\n" + item).join(["%d"] * len(rows[0])) + "\n" + inner + "]"
+    return (",\n" + inner).join([row] * len(rows)) % flat
 
 
 def _plain(value):
@@ -396,7 +424,7 @@ def emit_traces(
 
 
 def _front_rows(front: list) -> list:
-    return [{"x": [float(v) for v in x], "f": [float(v) for v in f]} for x, f in front]
+    return [{"x": x.tolist(), "f": f.tolist()} for x, f in front]
 
 
 def _trace_rows(result: RunResult) -> list:
@@ -414,19 +442,33 @@ def _trace_rows(result: RunResult) -> list:
     ]
 
 
+def _cell_format(kind: type) -> str:
+    """The ``%`` format of a CSV or report.txt cell of this type: a float
+    at 17 significant digits, a bool as 0/1, anything else as ``str``."""
+    return FLOAT_FORMAT if issubclass(kind, float) else "%d" if kind is bool else "%s"
+
+
 def _cell(value) -> str:
-    """A scalar as CSV and report.txt write it."""
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, bool):
-        return str(int(value))
-    return str(value)
+    return _cell_format(type(value)) % (value,)
+
+
+def _spread(row: dict) -> list:
+    """A row's CSV cells: its values, each list spread over its entries."""
+    cells = []
+    for v in row.values():
+        if isinstance(v, list):
+            cells += v
+        else:
+            cells.append(v)
+    return cells
 
 
 def _table_text(rows: list, fmt: str) -> str:
     """Rows of dicts, keys in column order, as JSON or as CSV: there a list
     value spreads over one column per entry, named by its key and index
-    (``x0``, ``x1``, ...), a float has 17 significant digits, a bool is 0/1."""
+    (``x0``, ``x1``, ...), a float has 17 significant digits, a bool is 0/1.
+    A CSV row whose cell types are those of the first row is written
+    through one ``%`` template; any other cell by cell."""
     if fmt == "json":
         return _json_text(rows) + "\n"
     if not rows:
@@ -434,10 +476,13 @@ def _table_text(rows: list, fmt: str) -> str:
     header = []
     for k, v in rows[0].items():
         header += [f"{k}{i}" for i in range(len(v))] if isinstance(v, list) else [k]
+    kinds = tuple(map(type, _spread(rows[0])))
+    template = ",".join(map(_cell_format, kinds))
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row.values():
-            cells += map(_cell, v) if isinstance(v, list) else [_cell(v)]
-        lines.append(",".join(cells))
+        cells = _spread(row)
+        if tuple(map(type, cells)) == kinds:
+            lines.append(template % tuple(cells))
+        else:
+            lines.append(",".join(map(_cell, cells)))
     return "\n".join(lines) + "\n"

@@ -171,6 +171,8 @@ def critical_region_scan(
     i, j = pair
     if not (1 <= i <= problem.m and 1 <= j <= problem.m) or i == j:
         raise ValueError("pair must be two distinct objective numbers")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     i, j = i - 1, j - 1
 
     axes = [

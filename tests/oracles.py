@@ -4,9 +4,11 @@ None of this runs in an experiment.  Each function restates a quantity
 the library computes by other means, so the tests can compare the two:
 criticality by sampling directions, LP optima by enumerating vertices,
 Jacobians by central differences, lp-new's normalized rows, the
-critical-region scan cell by cell, and the descent one start at a time.
+critical-region scan cell by cell, the descent one start at a time, and
+the output files' JSON and CSV text one value at a time.
 """
 
+import json
 from itertools import combinations
 from typing import Optional
 
@@ -263,3 +265,57 @@ def run_mgd_oracle(
         termination=termination,
         iterations=k,
     )
+
+
+def json_text_oracle(obj, indent: int = 0) -> str:
+    """The JSON text of ``harness._json_text``, one recursive call per
+    value: floats at 17 significant digits, keys and other scalars through
+    ``json.dumps``."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {json_text_oracle(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {json_text_oracle(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    return json.dumps(str(obj))
+
+
+def _cell_oracle(value) -> str:
+    if isinstance(value, float):
+        return format(float(value), ".17g")
+    if isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+def table_text_oracle(rows: list, fmt: str) -> str:
+    """The text of ``harness._table_text``, one call per cell: in CSV a list
+    value spreads over one column per entry, headed by its key and index."""
+    if fmt == "json":
+        return json_text_oracle(rows) + "\n"
+    if not rows:
+        return ""
+    header = []
+    for k, v in rows[0].items():
+        header += [f"{k}{i}" for i in range(len(v))] if isinstance(v, list) else [k]
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row.values():
+            cells += map(_cell_oracle, v) if isinstance(v, list) else [_cell_oracle(v)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

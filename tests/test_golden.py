@@ -1,7 +1,7 @@
 """Byte-identity of the CLI's outputs against recorded sha256 digests.
 
 A small Table-1 run with traces, written once as CSV and once as JSON, and
-three domain scans are hashed file by file: every front, trace and
+four domain scans are hashed file by file: every front, trace and
 scan-mask file, and every report with its wall-time values blanked.  A
 change that moves any of these bytes must say why and record the digests
 again with
@@ -29,6 +29,9 @@ COMMANDS = (
      "--resolution", "16"),
     ("scan", "scan", "--problem", "fonseca-fleming", "--pair", "1,2", "--tol", "1e-3",
      "--resolution", "16"),
+    # A large mask (7,121 marked cells), so a slip in writing a long table shows.
+    ("scan-large", "scan", "--problem", "viennet", "--pair", "1,3", "--tol", "1e-8",
+     "--resolution", "128,128"),
 )
 
 

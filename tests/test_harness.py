@@ -424,6 +424,25 @@ class TestPersistence:
             texts.append(blob)
         assert texts[0] == texts[1]
 
+    def test_json_outputs_are_strict_json(self, tmp_path, capsys):
+        # Every JSON file parses without the NaN/Infinity extensions.
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for argv in (
+            ["table1", "--n-starts", "3", "--max-iters", "40", "--seed", "42",
+             "--workers", "0", "--traces", "--format", "json"],
+            ["scan", "--problem", "viennet", "--pair", "1,3", "--tol", "1e-8",
+             "--resolution", "64"],
+            ["scan", "--problem", "kursawe", "--pair", "1,2", "--tol", "1e-1",
+             "--resolution", "16"],
+        ):
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == EXIT_OK
+        paths = sorted(tmp_path.rglob("*.json"))
+        assert len(paths) == 3 * (1 + 4 + 12) + 2
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=reject)
+
     def test_report_text_contains_table(self):
         report = run_experiment(_small_config())
         text = report_to_text(report)
@@ -507,6 +526,11 @@ class TestConfigFile:
             ("n_starts", "0", ["--n-starts", "0"]),
             ("alpha", "2", ["--alpha", "2"]),
             ("workers", "-2", ["--workers", "-2"]),
+            # Non-finite values, which report.json could not hold.
+            ("eta0", "nan", ["--eta0", "nan"]),
+            ("eta0", "inf", ["--eta0", "inf"]),
+            ("epsilon", "inf", ["--epsilon", "inf"]),
+            ("epsilon", "nan", ["--epsilon", "nan"]),
         ],
     )
     def test_bad_value_in_file_or_flag_is_usage_error(self, tmp_path, capsys, key, value, flags):
@@ -563,6 +587,11 @@ class TestCli:
             ("--c1", "0", "c1 must lie in (0, 1)"),
             ("--theta", "0", "theta must be a positive integer"),
             ("--epsilon", "0", "epsilon must be positive"),
+            ("--eta0", "nan", "eta0 must be positive and finite"),
+            ("--eta0", "inf", "eta0 must be positive and finite"),
+            ("--epsilon", "inf", "epsilon must be positive and finite"),
+            ("--epsilon", "nan", "epsilon must be positive and finite"),
+            ("--c1", "nan", "c1 must lie in (0, 1)"),
         ],
     )
     def test_bad_step_or_lp_setting_is_usage_error(self, capsys, flag, value, message):
@@ -622,6 +651,16 @@ class TestCli:
         )
         assert code == EXIT_USAGE
         assert f"usage error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_scan_nonfinite_tol_is_usage_error(self, tmp_path, capsys, tol):
+        # Checked by critical_region_scan before any output is written.
+        code = main(["scan", "--problem", "viennet", "--pair", "1,3", f"--tol={tol}",
+                     "--resolution", "16", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert err == "usage error: tol must be finite\n"
+        assert out == "" and not os.listdir(tmp_path)
 
     def test_scan_mask_file_cells(self, tmp_path, capsys):
         argv = ["scan", "--problem", "viennet", "--pair", "1,3", "--tol", "1e-8",
