@@ -467,8 +467,8 @@ def _table_text(rows: list, fmt: str) -> str:
     """Rows of dicts, keys in column order, as JSON or as CSV: there a list
     value spreads over one column per entry, named by its key and index
     (``x0``, ``x1``, ...), a float has 17 significant digits, a bool is 0/1.
-    A CSV row whose cell types are those of the first row is written
-    through one ``%`` template; any other cell by cell."""
+    Each CSV row is written through one ``%`` template, built once per
+    tuple of cell types."""
     if fmt == "json":
         return _json_text(rows) + "\n"
     if not rows:
@@ -476,13 +476,13 @@ def _table_text(rows: list, fmt: str) -> str:
     header = []
     for k, v in rows[0].items():
         header += [f"{k}{i}" for i in range(len(v))] if isinstance(v, list) else [k]
-    kinds = tuple(map(type, _spread(rows[0])))
-    template = ",".join(map(_cell_format, kinds))
+    templates = {}
     lines = [",".join(header)]
     for row in rows:
-        cells = _spread(row)
-        if tuple(map(type, cells)) == kinds:
-            lines.append(template % tuple(cells))
-        else:
-            lines.append(",".join(map(_cell, cells)))
+        cells = tuple(_spread(row))
+        kinds = tuple(map(type, cells))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(template % cells)
     return "\n".join(lines) + "\n"

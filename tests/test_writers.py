@@ -2,8 +2,8 @@
 
 ``harness._json_text`` renders a list of plain ints, of plain floats or of
 equal-length int rows in one string operation, and ``harness._table_text``
-writes a CSV row through one ``%`` template when its cell types are those
-of the first row.  ``oracles.json_text_oracle`` and
+writes each CSV row through one ``%`` template, built once per tuple of
+cell types.  ``oracles.json_text_oracle`` and
 ``oracles.table_text_oracle`` render every value on its own.  Both must
 give the same text for any payload: nested and empty containers, bools
 among ints, numpy scalars, signed zeros, infinities, nan, subnormals,
