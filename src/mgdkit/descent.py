@@ -92,7 +92,8 @@ class RunResult:
     trace: list[TraceRecord]
     x_hat: np.ndarray
     f_hat: np.ndarray
-    stored_set: list[tuple[np.ndarray, np.ndarray]]  # pruned candidates (x, f)
+    stored_x: np.ndarray  # (k, n) pruned candidates, in the order stored
+    stored_f: np.ndarray  # (k, m) their objectives
     termination: Termination
     iterations: int
 
@@ -260,12 +261,18 @@ def run_mgd_batch(
                 )
             )
 
+    # Runs that store nothing share one pair of empty arrays, so a pool job
+    # pickles it once.
+    nothing = np.empty((0, problem.n)), np.empty((0, problem.m))
+
     def finish(j, x, f, termination, iterations):
+        stored_x, stored_f = _prune_stored(*stored[j], f) if stored[j][1] else nothing
         out[j] = RunResult(
             trace=traces[j],
             x_hat=x,
             f_hat=f,
-            stored_set=_prune_stored(*stored[j], f),
+            stored_x=stored_x,
+            stored_f=stored_f,
             termination=termination,
             iterations=iterations,
         )
@@ -401,15 +408,11 @@ def run_mgd(
 
 def _prune_stored(
     stored_x: list[np.ndarray], stored_f: list[np.ndarray], f_hat: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stored points not dominated by any stored point or the final one."""
-    if not stored_f:
-        return []
-    F = np.vstack([np.array(stored_f), f_hat[None, :]])
-    mask = nondominated_mask(F)[:-1]
-    return [
-        (x, f) for x, f, keep in zip(stored_x, stored_f, mask) if keep
-    ]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stored points not dominated by any stored point or the final one,
+    as (k, n) and (k, m) arrays in the order stored."""
+    keep = np.flatnonzero(nondominated_mask(np.vstack([*stored_f, f_hat]))[:-1])
+    return np.array(stored_x)[keep], np.array(stored_f)[keep]
 
 
 def classify_subsequences(trace: list[TraceRecord]) -> list[tuple[SegmentKind, int, int]]:

@@ -25,7 +25,8 @@ from .descent import (  # noqa: F401
     run_mgd_batch,
 )
 from .direction import DirectionConfig, DirectionVariant
-from .metrics import global_pareto_ratio, nondominated_filter
+# nondominated_filter stays importable here: bench/instrument.py wraps harness.nondominated_filter.
+from .metrics import global_pareto_ratio, nondominated_filter  # noqa: F401
 from .problems import SAMPLER_GENERATOR, StartSampler, get_problem, sample_starts
 
 ALL_DIRECTIONS = (DirectionVariant.LP_BASE, DirectionVariant.LP_NEW)
@@ -107,14 +108,14 @@ def variant_label(direction: DirectionVariant, backtracking: BacktrackVariant) -
     return f"{backtracking.value}_{direction.value}"
 
 
-def run_output_set(result: RunResult) -> list:
-    """A run's contribution to the global comparison: its final point,
-    filtered together with the antichain it stored (bt-new only; the
-    strictly-decreasing bt-base stores none)."""
-    final = (result.x_hat, result.f_hat)
-    if not result.stored_set:
-        return [final]
-    return nondominated_filter([final] + list(result.stored_set))
+def _ratio_and_front(results: list, n: int, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """A variant's Pareto ratio and its front's points (k, n) and
+    objectives (k, m), from one non-dominance mask over every run's final
+    point followed by its stored points; a failed run (None) has none."""
+    xs = [np.concatenate((r.x_hat[None], r.stored_x)) if r else np.empty((0, n)) for r in results]
+    fs = [np.concatenate((r.f_hat[None], r.stored_f)) if r else np.empty((0, m)) for r in results]
+    ratio, mask = global_pareto_ratio(fs)
+    return ratio, np.concatenate(xs)[mask], np.concatenate(fs)[mask]
 
 
 class RunFailure(tuple):
@@ -202,9 +203,9 @@ def run_variant(
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every requested variant over one shared list of start points.
 
-    Failed runs contribute empty output sets and are counted in the
-    report.  With an output directory configured, the report (and traces,
-    if requested) are written there.  With ``config.workers > 1`` and no
+    Failed runs contribute no points and are counted in the report.  With
+    an output directory configured, the report, the fronts (and traces, if
+    requested) are written there.  With ``config.workers > 1`` and no
     traces, every variant runs in one shared worker pool, which is
     replaced after a variant whose worker died.
     """
@@ -230,8 +231,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     # A dead worker breaks the pool for good.
                     pool.shutdown()
                     pool = ProcessPoolExecutor(max_workers=config.workers)
-                outputs = [run_output_set(r) if r is not None else [] for r in results]
-                ratio = global_pareto_ratio(outputs)
+                ratio, X, F = _ratio_and_front(results, problem.n, problem.m)
                 counts: dict = {t.value: 0 for t in Termination}
                 for r in results:
                     if r is not None:
@@ -250,7 +250,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     )
                 )
                 if config.out_dir:
-                    all_results[(direction, backtracking)] = (results, outputs)
+                    all_results[(direction, backtracking)] = (results, X, F)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -382,10 +382,10 @@ def emit_traces(
     """Write the report, per-variant front files, and per-run traces.
 
     ``run_results`` maps (direction, backtracking) to the variant's
-    (results, output sets), one entry per start each, as
-    :func:`run_experiment` computes them.  Returns the list of written
-    file paths.  Output is byte-stable for identical inputs: fixed field
-    order, floats at 17 significant digits.
+    (results, X, F): its results, one entry per start, and its front's
+    points and objectives, as :func:`run_experiment` computes them.
+    Returns the list of written file paths.  Output is byte-stable for
+    identical inputs: fixed field order, floats at 17 significant digits.
     """
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
@@ -408,13 +408,11 @@ def emit_traces(
     _write("report.json", _json_text(report_to_dict(report)) + "\n")
     _write("report.txt", report_to_text(report))
 
-    for (direction, backtracking), (results, outputs) in sorted(
+    for (direction, backtracking), (results, X, F) in sorted(
         run_results.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
         label = variant_label(direction, backtracking)
-        union = [pt for run in outputs for pt in run]
-        front = nondominated_filter(union)
-        _write(f"front_{label}.{fmt}", _table_text(_front_rows(front), fmt))
+        _write(f"front_{label}.{fmt}", _table_text(_front_rows(X, F), fmt))
         if include_traces:
             for j, result in enumerate(results):
                 if result is None or not result.trace:
@@ -423,8 +421,8 @@ def emit_traces(
     return written
 
 
-def _front_rows(front: list) -> list:
-    return [{"x": x.tolist(), "f": f.tolist()} for x, f in front]
+def _front_rows(X: np.ndarray, F: np.ndarray) -> list:
+    return [{"x": x, "f": f} for x, f in zip(X.tolist(), F.tolist())]
 
 
 def _trace_rows(result: RunResult) -> list:

@@ -116,27 +116,24 @@ def nondominated_filter(points: Sequence[tuple]) -> list[tuple]:
     return [p for p, keep in zip(points, mask) if keep]
 
 
-def global_pareto_ratio(runs: Sequence[Sequence[tuple]]) -> float:
+def global_pareto_ratio(runs: Sequence[np.ndarray]) -> tuple[float, np.ndarray]:
     """Fraction of runs with a point non-dominated across all runs.
 
-    ``runs`` holds one list of (x, f) pairs per run.  A run counts when at least one of its points survives non-dominated
-    filtering of the union of every run's points (equal f-values across
-    runs do not dominate each other, so shared optima count for all runs
-    attaining them).
+    ``runs`` holds one (k, m) array of objective rows per run; a run with
+    no output, such as a failed one, is a (0, m) array.  A run counts when
+    at least one of its rows survives non-dominated filtering of the union
+    of every run's rows (equal f-values across runs do not dominate each
+    other, so shared optima count for all runs attaining them).  Returns
+    the ratio and :func:`nondominated_mask` of the runs' rows stacked in
+    order.
     """
     N = len(runs)
     if N < 1:
         raise ValueError("need at least one run")
-    fs, ids = [], []
-    for j, run in enumerate(runs):
-        for _, f in run:
-            fs.append(np.asarray(f, dtype=float))
-            ids.append(j)
-    if not fs:
-        return 0.0
-    mask = nondominated_mask(np.array(fs))
-    contributing = set(np.asarray(ids)[mask].tolist())
-    return len(contributing) / N
+    mask = nondominated_mask(np.vstack(runs))
+    # Each row's run, counted with a set: np.unique loads more of numpy.
+    owner = np.repeat(np.arange(N), [len(run) for run in runs])
+    return len(set(owner[mask].tolist())) / N, mask
 
 
 def critical_region_scan(

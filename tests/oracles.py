@@ -4,8 +4,9 @@ None of this runs in an experiment.  Each function restates a quantity
 the library computes by other means, so the tests can compare the two:
 criticality by sampling directions, LP optima by enumerating vertices,
 Jacobians by central differences, lp-new's normalized rows, the
-critical-region scan cell by cell, the descent one start at a time, and
-the output files' JSON and CSV text one value at a time.
+critical-region scan cell by cell, the descent one start at a time,
+non-dominance pair by pair, a variant's Pareto ratio and front in two
+stages, and the output files' JSON and CSV text one value at a time.
 """
 
 import json
@@ -253,18 +254,36 @@ def run_mgd_oracle(
     else:
         k = K
 
-    stored_set = []
-    if stored_f:
-        keep = nondominated_mask(np.vstack([np.array(stored_f), ev.f[None, :]]))[:-1]
-        stored_set = [(x, f) for x, f, kept in zip(stored_x, stored_f, keep) if kept]
+    keep = np.flatnonzero(nondominated_mask(np.array(stored_f + [ev.f]))[:-1])
     return RunResult(
         trace=trace,
         x_hat=ev.x,
         f_hat=ev.f,
-        stored_set=stored_set,
+        stored_x=np.array(stored_x).reshape(-1, problem.n)[keep],
+        stored_f=np.array(stored_f).reshape(-1, problem.m)[keep],
         termination=termination,
         iterations=k,
     )
+
+
+def nondominated_mask_oracle(F: np.ndarray) -> np.ndarray:
+    """``nondominated_mask`` by comparing every pair of rows with ``dominates``."""
+    F = np.asarray(F, dtype=float)
+    return np.array([not any(dominates(g, f) for g in F) for f in F], dtype=bool)
+
+
+def ratio_and_front_oracle(results: list) -> tuple[float, list]:
+    """A variant's Pareto ratio and front in two stages, pair by pair: each
+    run's final point filtered together with its stored points, then the
+    union of the survivors, run by run.  ``results`` holds one RunResult per
+    run, None for a failed one; the front is a list of (x, f) pairs."""
+    union = []
+    for j, r in enumerate(results):
+        if r is not None:
+            own = [(r.x_hat, r.f_hat), *zip(r.stored_x, r.stored_f)]
+            union += [(j, x, f) for x, f in own if not any(dominates(g, f) for _, g in own)]
+    front = [(j, x, f) for j, x, f in union if not any(dominates(g, f) for _, _, g in union)]
+    return len({j for j, _, _ in front}) / len(results), [(x, f) for _, x, f in front]
 
 
 def json_text_oracle(obj, indent: int = 0) -> str:

@@ -268,7 +268,9 @@ class TestRunMgd:
         params = BacktrackParams(variant=BacktrackVariant.BT_NEW)
         for x0 in starts:
             res = run_mgd(prob, x0, params, LP_NEW, K=500)
-            fs = [f for _, f in res.stored_set]
+            assert res.stored_x.shape == (len(res.stored_f), prob.n)
+            assert res.stored_f.shape == (len(res.stored_x), prob.m)
+            fs = list(res.stored_f)
             for i, fa in enumerate(fs):
                 for j, fb in enumerate(fs):
                     if i != j:
@@ -342,9 +344,10 @@ def assert_same_run(got, expected):
     assert got.iterations == expected.iterations
     assert np.array_equal(got.x_hat, expected.x_hat)
     assert np.array_equal(got.f_hat, expected.f_hat)
-    assert len(got.stored_set) == len(expected.stored_set)
-    for (xa, fa), (xb, fb) in zip(got.stored_set, expected.stored_set):
-        assert np.array_equal(xa, xb) and np.array_equal(fa, fb)
+    assert got.stored_x.shape == expected.stored_x.shape
+    assert np.array_equal(got.stored_x, expected.stored_x)
+    assert got.stored_f.shape == expected.stored_f.shape
+    assert np.array_equal(got.stored_f, expected.stored_f)
     assert len(got.trace) == len(expected.trace)
     for a, b in zip(got.trace, expected.trace):
         for name in TraceRecord.__dataclass_fields__:

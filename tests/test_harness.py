@@ -8,18 +8,23 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgdkit import (
     BacktrackVariant,
     DirectionVariant,
     ExperimentConfig,
+    RunResult,
     StartSampler,
+    Termination,
     critical_region_scan,
     get_problem,
     run_experiment,
     sample_starts,
 )
 import mgdkit.harness as harness_mod
+import mgdkit.metrics as metrics_mod
 import mgdkit.problems as problems_mod
 from mgdkit.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from mgdkit.harness import (
@@ -30,7 +35,7 @@ from mgdkit.harness import (
     run_variant,
     variant_label,
 )
-from oracles import run_mgd_oracle
+from oracles import ratio_and_front_oracle, run_mgd_oracle
 from test_descent import assert_same_run
 
 
@@ -50,6 +55,25 @@ class _TwoArgError(Exception):
 
     def __init__(self, code, detail):
         super().__init__(code, detail)
+
+
+def _fake_run(j, fs):
+    """Run j with final objectives fs[0] and stored ones fs[1:]; each
+    point x is (j, row), so a front row shows where it came from."""
+    X = np.array([[j, i] for i in range(len(fs))], dtype=float)
+    F = np.array(fs, dtype=float)
+    return RunResult(trace=[], x_hat=X[0], f_hat=F[0], stored_x=X[1:], stored_f=F[1:],
+                     termination=Termination.MAX_ITERS, iterations=0)
+
+
+@st.composite
+def variant_runs(draw):
+    """(m, runs): per run None (failed) or its final and stored objective
+    rows, from few values so that ties and equal points are common."""
+    m = draw(st.integers(1, 3))
+    point = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]), min_size=m, max_size=m)
+    run = st.one_of(st.none(), st.lists(point, min_size=1, max_size=5))
+    return m, draw(st.lists(run, min_size=1, max_size=8))
 
 
 def _small_config(**overrides):
@@ -137,22 +161,42 @@ class TestRunExperiment:
                     starts.append([float(v) for v in row[1 : 1 + problem.n]])
                 assert np.array_equal(np.array(starts), expected)
 
-    def test_output_sets_computed_once(self, monkeypatch, tmp_path):
-        # The ratio and the front files share each run's output set: one
-        # run_output_set call per successful run per variant.
+    def test_one_mask_per_variant(self, monkeypatch, tmp_path):
+        # A variant's ratio and its front file come from one non-dominance
+        # mask over all its runs' points: the front is not filtered again,
+        # nor is any run's output filtered on its own.
         calls = []
 
-        def counted(result, *args):
-            calls.append(result)
-            return real(result, *args)
+        def counted(F):
+            calls.append(len(F))
+            return real(F)
 
-        real = harness_mod.run_output_set
-        monkeypatch.setattr(harness_mod, "run_output_set", counted)
+        real = metrics_mod.nondominated_mask
+        monkeypatch.setattr(metrics_mod, "nondominated_mask", counted)
         report = run_experiment(_small_config(out_dir=str(tmp_path), n_starts=3, max_iters=20))
-        succeeded = sum(3 - v.failures for v in report.variants)
-        assert succeeded == 12
-        assert len(calls) == succeeded
-        assert len({id(r) for r in calls}) == succeeded
+        assert sum(3 - v.failures for v in report.variants) == 12
+        assert len(calls) == len(report.variants) == 4
+        assert len(list(tmp_path.glob("front_*.csv"))) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(variant_runs())
+    @example((2, [[[1.0, 1.0], [0.0, 0.0]], None, [[0.0, 0.0]], [[-1.0, 2.0], [2.0, -1.0]]]))
+    @example((2, [[[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 0.0]], None]))
+    @example((3, [None, None]))
+    def test_ratio_and_front_match_two_stage_oracle(self, case):
+        # One mask over every run's final point and stored points gives the
+        # ratio and front rows (values and order) of filtering each run's
+        # points first and then their union.  The examples hold a final
+        # point dominated by its own stored point, failed runs, and equal
+        # points (signed zeros too) shared across runs.
+        m, runs = case
+        results = [None if fs is None else _fake_run(j, fs) for j, fs in enumerate(runs)]
+        ratio, X, F = harness_mod._ratio_and_front(results, 2, m)
+        expected_ratio, front = ratio_and_front_oracle(results)
+        assert ratio == expected_ratio
+        assert X.shape == (len(front), 2) and F.shape == (len(front), m)
+        for x, f, (ex, ef) in zip(X, F, front):
+            assert x.tobytes() == ex.tobytes() and f.tobytes() == ef.tobytes()
 
     def test_failures_recorded_not_raised(self):
         # An evaluator blowing up on some starts must not kill the

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgdkit import (
     Problem,
     critical_region_scan,
-    dominates,
     get_problem,
     global_pareto_ratio,
     nondominated_filter,
@@ -14,22 +15,32 @@ from mgdkit import (
 )
 from mgdkit.direction import TOL_GRAD
 from mgdkit.metrics import _SCAN_CHUNK
-from oracles import critical_region_scan_oracle
+from oracles import critical_region_scan_oracle, nondominated_mask_oracle
 
 
 def _points(fs):
     return [(np.zeros(1), np.asarray(f, dtype=float)) for f in fs]
 
 
-def _brute_force_mask(F):
-    F = np.asarray(F, dtype=float)
-    M = F.shape[0]
-    mask = np.ones(M, dtype=bool)
-    for i in range(M):
-        for j in range(M):
-            if i != j and dominates(F[j], F[i]):
-                mask[i] = False
-    return mask
+# Few distinct values, signed zeros among them, so ties and equal rows are common.
+VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def objective_rows(draw):
+    """A (k, m) array, m = 1..4, holding copies of some of its own rows,
+    each exact or with the sign of its zeros flipped (an equal row)."""
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(VALUES, min_size=m, max_size=m), max_size=40))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=5)):
+            flip = draw(st.booleans())
+            copy = [-v if flip and v == 0 else v for v in rows[i]]
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+    return np.array(rows, dtype=float).reshape(-1, m)
 
 
 class TestNondominatedFilter:
@@ -52,12 +63,10 @@ class TestNondominatedFilter:
         rng = np.random.Generator(np.random.Philox(41))
         for m in (1, 2, 3, 4):
             F = np.round(rng.normal(size=(60, m)), 1)
-            pts = _points(F)
-            kept = nondominated_filter(pts)
-            assert nondominated_filter(kept) == kept
-            perm = rng.permutation(len(pts))
-            kept_perm = nondominated_filter([pts[i] for i in perm])
-            assert {tuple(f) for _, f in kept} == {tuple(f) for _, f in kept_perm}
+            mask = nondominated_mask(F)
+            assert nondominated_mask(F[mask]).all()
+            perm = rng.permutation(len(F))
+            assert np.array_equal(nondominated_mask(F[perm]), mask[perm])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_mask_matches_brute_force(self, m):
@@ -65,38 +74,52 @@ class TestNondominatedFilter:
         for _ in range(20):
             size = int(rng.integers(1, 80))
             F = np.round(rng.normal(size=(size, m)), 1)  # rounding forces ties
-            assert np.array_equal(nondominated_mask(F), _brute_force_mask(F))
+            assert np.array_equal(nondominated_mask(F), nondominated_mask_oracle(F))
+
+    @settings(max_examples=300, deadline=None)
+    @given(objective_rows())
+    def test_mask_matches_pairwise_oracle(self, F):
+        mask = nondominated_mask(F)
+        assert mask.dtype == bool and mask.shape == (len(F),)
+        assert np.array_equal(mask, nondominated_mask_oracle(F))
 
     def test_mask_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             nondominated_mask(np.zeros(3))
 
 
+def _runs(*fs):
+    return [np.array(f, dtype=float).reshape(-1, 2) for f in fs]
+
+
 class TestGlobalParetoRatio:
     def test_mutually_nondominated(self):
-        runs = [_points([[0, 1]]), _points([[1, 0]])]
-        assert global_pareto_ratio(runs) == pytest.approx(1.0)
+        ratio, mask = global_pareto_ratio(_runs([[0, 1]], [[1, 0]]))
+        assert type(ratio) is float and ratio == pytest.approx(1.0)
+        assert mask.tolist() == [True, True]
 
     def test_one_dominated(self):
-        runs = [_points([[0, 0]]), _points([[1, 1]])]
-        assert global_pareto_ratio(runs) == pytest.approx(0.5)
+        ratio, mask = global_pareto_ratio(_runs([[0, 0]], [[1, 1]]))
+        assert ratio == pytest.approx(0.5)
+        assert mask.tolist() == [True, False]
 
     def test_equal_outputs_both_count(self):
-        runs = [_points([[0, 0]]), _points([[0, 0]])]
-        assert global_pareto_ratio(runs) == pytest.approx(1.0)
+        ratio, mask = global_pareto_ratio(_runs([[0, 0]], [[0, 0]]))
+        assert ratio == pytest.approx(1.0)
+        assert mask.tolist() == [True, True]
 
     def test_antichain_union_scores_one(self):
-        runs = [_points([[float(j), float(9 - j)]]) for j in range(10)]
-        assert global_pareto_ratio(runs) == pytest.approx(1.0)
+        runs = _runs(*[[[float(j), float(9 - j)]] for j in range(10)])
+        assert global_pareto_ratio(runs)[0] == pytest.approx(1.0)
 
     def test_single_dominating_run(self):
-        runs = [_points([[0.0, 0.0]])] + [
-            _points([[1.0 + j, 1.0 + j]]) for j in range(4)
-        ]
-        assert global_pareto_ratio(runs) == pytest.approx(1.0 / 5.0)
+        runs = _runs([[0.0, 0.0]], *[[[1.0 + j, 1.0 + j]] for j in range(4)])
+        assert global_pareto_ratio(runs)[0] == pytest.approx(1.0 / 5.0)
 
     def test_empty_runs_score_zero(self):
-        assert global_pareto_ratio([[], []]) == 0.0
+        ratio, mask = global_pareto_ratio(_runs([], []))
+        assert ratio == 0.0
+        assert mask.shape == (0,)
 
     def test_at_least_one_run_required(self):
         with pytest.raises(ValueError):
