@@ -105,10 +105,16 @@ def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
     return Evaluation(x=x, f=f, jac=jac)
 
 
+def _dominates_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row i is True iff A[i] dominates B[i]: A[i] <= B[i] componentwise
+    and A[i] != B[i] (exact comparisons)."""
+    return np.all(A <= B, axis=1) & np.any(A != B, axis=1)
+
+
 def dominates(fa: np.ndarray, fb: np.ndarray) -> bool:
-    """True iff fa <= fb componentwise and fa != fb (exact comparisons)."""
+    """True iff fa dominates fb: the one-row case of :func:`_dominates_rows`."""
     fa = np.asarray(fa, dtype=float)
     fb = np.asarray(fb, dtype=float)
     if fa.shape != fb.shape:
         raise ValueError(f"length mismatch: {fa.shape} vs {fb.shape}")
-    return bool(np.all(fa <= fb) and np.any(fa != fb))
+    return bool(_dominates_rows(fa.reshape(1, -1), fb.reshape(1, -1))[0])

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 # dominates stays importable here: bench/instrument.py wraps descent.dominates.
-from .core import Evaluation, Problem, dominates, evaluate  # noqa: F401
-from .direction import (
-    _BATCH_MIN_WIDTH,
+from .core import Evaluation, Problem, _dominates_rows, dominates, evaluate  # noqa: F401
+# So does solve_direction: bench/instrument.py wraps descent.solve_direction.
+from .direction import (  # noqa: F401
     TOL_ZERO_DIR,
     CriticalityCase,
     DirectionConfig,
@@ -198,18 +198,10 @@ def _at_iteration(k: int, exc: Exception) -> Exception:
     return err
 
 
-def _rows(keep: np.ndarray, *items):
-    """The rows of each array or list where ``keep`` is True."""
+def _rows(keep: np.ndarray, *arrays):
+    """The rows of each array where ``keep`` is True."""
     idx = np.flatnonzero(keep)
-    return [
-        item[idx] if isinstance(item, np.ndarray) else [item[i] for i in idx]
-        for item in items
-    ]
-
-
-def _dominates_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row i is True iff A[i] dominates B[i] (see :func:`dominates`)."""
-    return np.all(A <= B, axis=1) & np.any(A != B, axis=1)
+    return [a[idx] for a in arrays]
 
 
 def run_mgd_batch(
@@ -223,13 +215,12 @@ def run_mgd_batch(
     """Run one multiple-gradient descent sequence from each row of ``X0``.
 
     All live runs advance together: each iteration makes one batched
-    objective and one batched Jacobian call for the new iterates and one
-    objective call for every run's Armijo ladder.  The direction LPs of
-    the live runs are solved by one batched simplex while at least
-    ``_BATCH_MIN_WIDTH`` runs are live, and one by one below that width,
-    where the batch does not pay; both give each run the same direction.
-    A run stops, fails or stores a point without affecting the others,
-    and every run follows exactly the iterates it would follow alone.
+    objective and one batched Jacobian call for the new iterates, one
+    direction call for the LPs of all live runs (``_solve_batch``, which
+    gives each run the direction it would get alone) and one objective
+    call for every run's Armijo ladder.  A run stops, fails or stores a
+    point without affecting the others, and every run follows exactly the
+    iterates it would follow alone.
 
     Returns one entry per start: its :class:`RunResult`, or the exception
     that ended it, with the message prefixed by the iteration
@@ -246,18 +237,18 @@ def run_mgd_batch(
     traces: list = [[] for _ in out]
     stored: list = [([], []) for _ in out]
 
-    def record(k, j, x, f, d, eta, satisfied):
+    def record(k, j, x, f, p, beta_star, case, eta, satisfied):
         if record_trace:
             traces[j].append(
                 TraceRecord(
                     k=k,
                     x=x,
                     f=f,
-                    p_star=d.p_star,
-                    beta_star=d.beta_star,
+                    p_star=p,
+                    beta_star=beta_star,
                     eta=eta,
                     armijo_satisfied=satisfied,
-                    critical_case=d.case,
+                    critical_case=case,
                 )
             )
 
@@ -277,11 +268,11 @@ def run_mgd_batch(
             iterations=iterations,
         )
 
-    def stop(k, mask, X, F, dirs, satisfied, termination):
+    def stop(k, mask, X, F, P, beta, cases, satisfied, termination):
         # The runs where mask holds end at their current iterate, and
         # iteration k is recorded as a zero step.
         for i in np.flatnonzero(mask):
-            record(k, live[i], X[i], F[i], dirs[i], 0.0, satisfied)
+            record(k, live[i], X[i], F[i], P[i], float(beta[i]), cases[i], 0.0, satisfied)
             finish(live[i], X[i], F[i], termination, k)
 
     def drop_failed(k, errors):
@@ -303,28 +294,19 @@ def run_mgd_batch(
     for k in range(K):
         if not live.size:
             break
-        if live.size >= _BATCH_MIN_WIDTH:
-            solved = _solve_batch(J, dir_cfg.variant, dir_cfg.epsilon)
-        else:
-            solved = []
-            for i in range(live.size):
-                try:
-                    solved.append(solve_direction(J[i], dir_cfg.variant, dir_cfg.epsilon))
-                except Exception as exc:
-                    solved.append(exc)
-        errors = {i: d for i, d in enumerate(solved) if isinstance(d, Exception)}
-        dirs = [d for d in solved if not isinstance(d, Exception)]
+        P, beta, cases, errors = _solve_batch(J, dir_cfg.variant, dir_cfg.epsilon)
         if errors:
-            live, X, F, J = _rows(drop_failed(k, errors), live, X, F, J)
+            live, X, F, J, P, beta, cases = _rows(
+                drop_failed(k, errors), live, X, F, J, P, beta, cases
+            )
             if not live.size:
                 break
-        P = np.array([d.p_star for d in dirs])
 
         if not paper:
             zero = np.abs(P).max(axis=1) <= TOL_ZERO_DIR
             if zero.any():
-                stop(k, zero, X, F, dirs, True, Termination.ZERO_DIRECTION)
-                live, X, F, J, P, dirs = _rows(~zero, live, X, F, J, P, dirs)
+                stop(k, zero, X, F, P, beta, cases, True, Termination.ZERO_DIRECTION)
+                live, X, F, J, P, beta, cases = _rows(~zero, live, X, F, J, P, beta, cases)
                 if not live.size:
                     break
 
@@ -341,25 +323,29 @@ def run_mgd_batch(
                 except Exception as exc:
                     errors[i] = exc
             keep = drop_failed(k, errors)
-            live, X, F, J, P, dirs, eta, sat = _rows(keep, live, X, F, J, P, dirs, eta, sat)
+            live, X, F, J, P, beta, cases, eta, sat = _rows(
+                keep, live, X, F, J, P, beta, cases, eta, sat
+            )
 
         if not bt_new and not sat.all():
-            stop(k, ~sat, X, F, dirs, False, Termination.DOMINATED_STEP)
-            live, X, F, J, P, dirs, eta, sat = _rows(sat, live, X, F, J, P, dirs, eta, sat)
+            stop(k, ~sat, X, F, P, beta, cases, False, Termination.DOMINATED_STEP)
+            live, X, F, J, P, beta, cases, eta, sat = _rows(
+                sat, live, X, F, J, P, beta, cases, eta, sat
+            )
 
         X_new = X + eta[:, None] * P
         F_new, J_new, errors = _evaluate_rows(problem, X_new)
         if errors:
             keep = drop_failed(k, errors)
-            live, X, F, dirs, eta, sat, X_new, F_new, J_new = _rows(
-                keep, live, X, F, dirs, eta, sat, X_new, F_new, J_new
+            live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new = _rows(
+                keep, live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new
             )
 
         dominated = ~sat & _dominates_rows(F, F_new)
         if dominated.any():
-            stop(k, dominated, X, F, dirs, False, Termination.DOMINATED_STEP)
-            live, X, F, dirs, eta, sat, X_new, F_new, J_new = _rows(
-                ~dominated, live, X, F, dirs, eta, sat, X_new, F_new, J_new
+            stop(k, dominated, X, F, P, beta, cases, False, Termination.DOMINATED_STEP)
+            live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new = _rows(
+                ~dominated, live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new
             )
 
         if bt_new:
@@ -370,8 +356,8 @@ def run_mgd_batch(
                 stored[j][0].append(x)
                 stored[j][1].append(f)
         if record_trace:
-            for i, (e, s) in enumerate(zip(eta.tolist(), sat.tolist())):
-                record(k, live[i], X[i], F[i], dirs[i], e, s)
+            for i, (b, e, s) in enumerate(zip(beta.tolist(), eta.tolist(), sat.tolist())):
+                record(k, live[i], X[i], F[i], P[i], b, cases[i], e, s)
         X, F, J = X_new, F_new, J_new
         if not paper:
             # A fallback step of zero was accepted: the sequence is constant

@@ -25,7 +25,7 @@ TOL_ZERO_DIR = 1e-9  # beta*, cone minima and |p|inf within this of 0 count as 0
 
 # From this many Jacobians per call on, one batched simplex beats a scalar
 # solve per Jacobian (crossover measured per LP on descent Jacobians; see
-# CHANGES.md).  Below it the descent loop solves them one by one.
+# CHANGES.md).  Below it _solve_batch solves them one by one.
 _BATCH_MIN_WIDTH = 16
 
 
@@ -206,35 +206,46 @@ def _seq_sum(terms):
     return reduce(add, terms, 0.0)
 
 
-def _solve_alone(jac, variant, epsilon):
-    """solve_direction's result, or the exception it raises."""
-    try:
-        return solve_direction(jac, variant, epsilon)
-    except Exception as exc:
-        return exc
+def _solve_rows(J, rows, variant, epsilon, P, beta, cases, errors):
+    """Row w of P, beta and cases for each w in ``rows``: what
+    solve_direction gives J[w], or errors[w], the exception it raises."""
+    for w in rows:
+        try:
+            d = solve_direction(J[w], variant, epsilon)
+        except Exception as exc:
+            errors[w] = exc
+        else:
+            P[w], beta[w], cases[w] = d.p_star, d.beta_star, d.case
 
 
 def _solve_batch(
     J: np.ndarray,
     variant: DirectionVariant = DirectionVariant.LP_NEW,
     epsilon: float = 1.0,
-) -> list:
-    """:func:`solve_direction` for each Jacobian of ``J`` (W, m, n), with
-    one batched simplex for all of them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The direction step of one descent iteration: :func:`solve_direction`
+    for each Jacobian of ``J`` (W, m, n).
 
-    Returns, per Jacobian, the DirectionResult solve_direction returns or
-    the exception it raises, equal to the bit: the preparation repeats
-    its arithmetic elementwise (in-order sums, square roots,
-    quotients) and ``_simplex_batch`` repeats ``_simplex_core``'s pivots.
-    The rare cases go to solve_direction itself: Jacobians with a
-    non-finite entry, lp-new Jacobians with a row dropped for its norm,
-    and LPs left with a redundant row after phase 1.  Critical results
-    are classified one by one, as in solve_direction.
+    Returns (P (W, n), beta (W,), cases (W,), errors): row w holds the
+    p*, beta* and CriticalityCase solve_direction gives J[w], equal to
+    the bit, unless errors maps w to the exception it raises.
+
+    Below ``_BATCH_MIN_WIDTH`` Jacobians each goes to solve_direction.
+    From that width on one batched simplex solves them: the preparation
+    repeats solve_direction's arithmetic elementwise (in-order sums,
+    square roots, quotients) and ``_simplex_batch`` repeats
+    ``_simplex_core``'s pivots.  The rare cases still go to
+    solve_direction: Jacobians with a non-finite entry, lp-new Jacobians
+    with a row dropped for its norm, and LPs left with a redundant row
+    after phase 1.  Critical results are classified one by one, as in
+    solve_direction.
     """
     J = np.asarray(J, dtype=float)
     W, m, n = J.shape
-    if m == 0 or n == 0:
-        return [_solve_alone(jac, variant, epsilon) for jac in J]
+    P, beta, cases, errors = np.zeros((W, n)), np.zeros(W), np.empty(W, dtype=object), {}
+    if W < _BATCH_MIN_WIDTH or m == 0 or n == 0:
+        _solve_rows(J, range(W), variant, epsilon, P, beta, cases, errors)
+        return P, beta, cases, errors
     lp_new = variant is DirectionVariant.LP_NEW
     alone = ~np.isfinite(J).all(axis=(1, 2))
     with np.errstate(all="ignore"):
@@ -261,46 +272,36 @@ def _solve_batch(
         bs[:, :m] = box[:, None] * _seq_sum(G[:, :, j] for j in range(n))
         bs[:, m:] = (2.0 * box)[:, None]
         Y, outcomes = _simplex_batch(np.concatenate([c_p, -c_beta[:, None]], axis=1), As, bs)
-        P = Y[:, :n] - box[:, None]
+        P[lps] = Y[:, :n] - box[:, None]
+        beta[lps] = -Y[:, n]
 
-    out: list = [None] * W
-    for w in np.flatnonzero(alone).tolist():
-        out[w] = _solve_alone(J[w], variant, epsilon)
-    for k, (w, beta, gam, cb) in enumerate(
-        zip(lps.tolist(), (-Y[:, n]).tolist(), box.tolist(), c_beta.tolist())
-    ):
-        if k in outcomes:
-            status = outcomes[k]
-            if status is None:
-                out[w] = _solve_alone(J[w], variant, epsilon)
-            elif isinstance(status, LpStatus):
-                out[w] = SolverFailure(f"direction LP ended with status {status.value}")
-            else:
-                out[w] = status
-            continue
-        if beta < -TOL_ZERO_DIR:
-            case = CriticalityCase.NOT_CRITICAL
+    rows = lps.tolist()
+    redo = np.flatnonzero(alone).tolist()
+    for k, status in outcomes.items():
+        if status is None:
+            redo.append(rows[k])
+        elif isinstance(status, LpStatus):
+            errors[rows[k]] = SolverFailure(f"direction LP ended with status {status.value}")
         else:
-            p = P[k].tolist()
-            value = _seq_sum(ci * pi for ci, pi in zip(c_p[k].tolist(), p))
-            value += cb * beta
-            try:
-                case = _classify_critical(
-                    g[k].tolist(), G[k].tolist(), gam, p, beta, value, variant,
-                    cb if lp_new else None,
-                )
-            except Exception as exc:
-                out[w] = exc
-                continue
-        out[w] = DirectionResult(
-            p_star=P[k],
-            beta_star=beta,
-            dropped_rows=(),
-            case=case,
-            gamma=gam,
-            c_beta=cb if lp_new else None,
-        )
-    return out
+            errors[rows[k]] = status
+    _solve_rows(J, redo, variant, epsilon, P, beta, cases, errors)
+    solved = np.ones(lps.size, dtype=bool)
+    solved[list(outcomes)] = False
+    critical = solved & ~(beta[lps] < -TOL_ZERO_DIR)
+    cases[lps[solved & ~critical]] = CriticalityCase.NOT_CRITICAL
+    gam, cb = box.tolist(), c_beta.tolist()
+    for k in np.flatnonzero(critical).tolist():
+        w = rows[k]
+        p, b = P[w].tolist(), float(beta[w])
+        value = _seq_sum(ci * pi for ci, pi in zip(c_p[k].tolist(), p)) + cb[k] * b
+        try:
+            cases[w] = _classify_critical(
+                g[k].tolist(), G[k].tolist(), gam[k], p, b, value, variant,
+                cb[k] if lp_new else None,
+            )
+        except Exception as exc:
+            errors[w] = exc
+    return P, beta, cases, errors
 
 
 def solve_blockwise(
@@ -308,27 +309,15 @@ def solve_blockwise(
     variant: DirectionVariant = DirectionVariant.LP_NEW,
     epsilon: float = 1.0,
 ) -> list[DirectionResult]:
-    """Solve independent direction subproblems, one per Jacobian, in order.
-
-    The blocks of each shape are stacked and solved by one batched simplex
-    (``_solve_batch``), which gives every block what :func:`solve_direction`
-    gives it alone.  The first failing block's solver failure is re-raised
-    with the block's index.
-    """
+    """Solve independent direction subproblems, one per Jacobian, in order,
+    each by :func:`solve_direction`.  The first failing block's solver
+    failure is re-raised with the block's index."""
     if len(jacs) == 0:
         raise ValueError("jacs must be non-empty")
-    jacs = [np.asarray(jac, dtype=float) for jac in jacs]
-    shapes: dict = {}
+    out = []
     for i, jac in enumerate(jacs):
-        shapes.setdefault(jac.shape, []).append(i)
-    out: list = [None] * len(jacs)
-    for idx in shapes.values():
-        solved = _solve_batch(np.stack([jacs[i] for i in idx]), variant, epsilon)
-        for i, res in zip(idx, solved):
-            out[i] = res
-    for i, res in enumerate(out):
-        if isinstance(res, SolverFailure):
-            raise SolverFailure(f"block {i}: {res}") from res
-        if isinstance(res, Exception):
-            raise res
+        try:
+            out.append(solve_direction(jac, variant, epsilon))
+        except SolverFailure as exc:
+            raise SolverFailure(f"block {i}: {exc}") from exc
     return out

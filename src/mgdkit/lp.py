@@ -11,9 +11,9 @@ tableau in plain Python lists: the LPs here are tiny (a handful of
 variables and rows), and for one LP list arithmetic beats numpy's
 per-call overhead.  ``_simplex_batch`` solves many LPs of one shape in
 one padded numpy tableau and makes, for each of them, the pivots
-``_simplex_core`` makes, with the same floating-point operations.  The
-descent switches to it at ``direction._BATCH_MIN_WIDTH`` LPs per call,
-the measured crossover.
+``_simplex_core`` makes, with the same floating-point operations.
+``direction._solve_batch`` uses it from ``direction._BATCH_MIN_WIDTH``
+LPs per call on, the measured crossover.
 """
 
 from __future__ import annotations

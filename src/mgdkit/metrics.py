@@ -58,8 +58,7 @@ def _mask_sorted_2d(Fs: np.ndarray) -> np.ndarray:
     # dominated iff some row before its equality group has f2 <= its f2.
     g = _group_starts(Fs)
     cummin = np.minimum.accumulate(Fs[:, 1])
-    best_before = np.where(g > 0, cummin[np.maximum(g - 1, 0)], np.inf)
-    return best_before > Fs[:, 1]
+    return ~((g > 0) & (cummin[np.maximum(g - 1, 0)] <= Fs[:, 1]))
 
 
 def _mask_sorted_3d(Fs: np.ndarray) -> np.ndarray:

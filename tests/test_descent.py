@@ -382,10 +382,11 @@ class TestLockstep:
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_batched_lp_matches_one_start_oracle(self, name, monkeypatch):
-        # With 2 * _BATCH_MIN_WIDTH starts the direction LPs go through the
-        # batched simplex until runs leave the batch; each run still equals
-        # the one-start oracle, which solves every LP by itself.
-        widths = []
+        # With _BATCH_MIN_WIDTH + 1 starts the direction LPs go through the
+        # batched simplex until runs leave the batch, and through the scalar
+        # solver after; each run still equals the one-start oracle, which
+        # solves every LP by itself.
+        widths, all_widths = [], []
 
         def spy(J, *args):
             widths.append(len(J))
@@ -393,14 +394,20 @@ class TestLockstep:
 
         monkeypatch.setattr(descent_mod, "_solve_batch", spy)
         prob = get_problem(name)
-        starts = sample_starts(StartSampler(prob.domain_box, 2 * _BATCH_MIN_WIDTH, 5))
+        starts = sample_starts(StartSampler(prob.domain_box, _BATCH_MIN_WIDTH + 1, 5))
         for bt, cfg in itertools.product(BacktrackVariant, (LP_BASE, LP_NEW)):
             params = BacktrackParams(variant=bt)
             widths.clear()
             runs = run_mgd_batch(prob, starts, params, cfg, K=12, record_trace=True)
-            assert widths and min(widths) >= _BATCH_MIN_WIDTH
+            # One direction call per iteration, for the runs live at it: a
+            # run has one trace record per iteration it was live.
+            live = [sum(len(run.trace) > k for run in runs) for k in range(12)]
+            assert widths == [w for w in live if w]
+            all_widths += widths
             for x0, run in zip(starts, runs):
+                assert all(type(rec.beta_star) is float for rec in run.trace)
                 assert_same_run(run, run_mgd_oracle(prob, x0, params, cfg, K=12))
+        assert min(all_widths) < _BATCH_MIN_WIDTH <= max(all_widths)
 
     def test_no_starts(self):
         prob = get_problem("kursawe")

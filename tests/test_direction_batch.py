@@ -1,8 +1,9 @@
-"""The batched direction LP against the scalar one, bit for bit.
+"""The direction step of an iteration against the scalar LP, bit for bit.
 
 ``direction._solve_batch`` must give every Jacobian of a batch exactly
 what ``solve_direction`` gives it alone: the same p* bytes, the same
-floats, the same case, and the same failure.  The Jacobians come from
+beta*, the same case, and the same failure, at every width; from
+``_BATCH_MIN_WIDTH`` on it solves them with one batched simplex.  The Jacobians come from
 the generator of the direction-LP robustness item: m = 2-3 objectives,
 n = 1-5 variables, an overall scale from 1e-8 to 1e8 with each row
 rescaled by up to e^+-3, and exactly opposed rows, rows parallel to
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mgdkit.direction as direction_mod
 from mgdkit import DirectionVariant, solve_direction
 from mgdkit.direction import _BATCH_MIN_WIDTH, _solve_batch
 
@@ -45,32 +47,33 @@ def _outcome(jac, variant):
         return exc
 
 
-def assert_same(got, expected):
+def assert_same(solved, w, expected):
+    """Row w of _solve_batch's (P, beta, cases, errors) against solve_direction."""
+    P, beta, cases, errors = solved
     if isinstance(expected, Exception):
-        assert type(got) is type(expected)
-        assert str(got) == str(expected)
+        assert type(errors[w]) is type(expected)
+        assert str(errors[w]) == str(expected)
         return
-    assert not isinstance(got, Exception), got
-    assert got.p_star.dtype == expected.p_star.dtype
-    assert got.p_star.shape == expected.p_star.shape
-    assert got.p_star.tobytes() == expected.p_star.tobytes()
-    assert repr(got.beta_star) == repr(expected.beta_star)
-    assert repr(got.gamma) == repr(expected.gamma)
-    assert repr(got.c_beta) == repr(expected.c_beta)
-    assert got.case is expected.case
-    assert got.dropped_rows == expected.dropped_rows
+    assert w not in errors, errors[w]
+    assert P.dtype == expected.p_star.dtype
+    assert P[w].shape == expected.p_star.shape
+    assert P[w].tobytes() == expected.p_star.tobytes()
+    assert repr(float(beta[w])) == repr(expected.beta_star)
+    assert cases[w] is expected.case
 
 
 def check_batch(J, variant):
     """Every row of the batch against solve_direction; the failures seen."""
-    got = _solve_batch(J, variant)
-    assert len(got) == len(J)
+    solved = _solve_batch(J, variant)
+    P, beta, cases, errors = solved
+    assert P.shape == (len(J), J.shape[2]) and beta.shape == cases.shape == (len(J),)
     failures = []
-    for res, jac in zip(got, J):
+    for w, jac in enumerate(J):
         expected = _outcome(jac, variant)
-        assert_same(res, expected)
+        assert_same(solved, w, expected)
         if isinstance(expected, Exception):
             failures.append(str(expected))
+    assert len(errors) == len(failures)
     return failures
 
 
@@ -112,8 +115,9 @@ class TestBatchedEqualsScalar:
         jac = np.array([[1.0, 0.0], [1e-16, 1.0], [1e-16, -1.0]])
         expected = solve_direction(jac, DirectionVariant.LP_NEW)
         assert expected.gamma == 1.0
-        for res in _solve_batch(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW):
-            assert_same(res, expected)
+        solved = _solve_batch(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW)
+        for w in range(_BATCH_MIN_WIDTH):
+            assert_same(solved, w, expected)
 
     def test_dropped_rows_and_non_finite_entries(self):
         # lp-new drops the rows of an all-zero Jacobian; a NaN entry sends
@@ -122,5 +126,21 @@ class TestBatchedEqualsScalar:
         J[1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         J[2] = [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]
         for variant in DirectionVariant:
-            for res, jac in zip(_solve_batch(J, variant), J):
-                assert_same(res, _outcome(jac, variant))
+            solved = _solve_batch(J, variant)
+            for w, jac in enumerate(J):
+                assert_same(solved, w, _outcome(jac, variant))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("variant", list(DirectionVariant))
+    def test_batched_simplex_iff_wide(self, width, variant, monkeypatch):
+        # One batched simplex from _BATCH_MIN_WIDTH Jacobians on, none below.
+        calls, simplex_batch = [], direction_mod._simplex_batch
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return simplex_batch(*args)
+
+        monkeypatch.setattr(direction_mod, "_simplex_batch", spy)
+        J = np.random.default_rng(width).normal(size=(width, 2, 3))
+        check_batch(J, variant)
+        assert calls == ([width] if width >= _BATCH_MIN_WIDTH else [])

@@ -23,6 +23,10 @@ COMMANDS = (
      "--workers", "0", "--traces"),
     ("table1-json", "table1", "--n-starts", "3", "--max-iters", "40", "--seed", "42",
      "--workers", "0", "--traces", "--format", "json"),
+    # 20 starts, so the direction LPs of the first iterations go through the
+    # batched simplex.
+    ("table1-wide", "table1", "--n-starts", "20", "--max-iters", "20", "--seed", "42",
+     "--workers", "0", "--traces"),
     ("scan", "scan", "--problem", "viennet", "--pair", "1,3", "--tol", "1e-8",
      "--resolution", "64"),
     ("scan", "scan", "--problem", "kursawe", "--pair", "1,2", "--tol", "1e-1",

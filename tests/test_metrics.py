@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgdkit import (
@@ -22,9 +22,10 @@ def _points(fs):
     return [(np.zeros(1), np.asarray(f, dtype=float)) for f in fs]
 
 
-# Few distinct values, signed zeros among them, so ties and equal rows are common.
+# Few distinct values, signed zeros and infinities among them, so ties and
+# equal rows are common.
 VALUES = st.one_of(
-    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+    st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]),
     st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
 )
 
@@ -78,6 +79,9 @@ class TestNondominatedFilter:
 
     @settings(max_examples=300, deadline=None)
     @given(objective_rows())
+    # A first row with f2 = +inf is not dominated by anything before it.
+    @example(np.array([[0.0, np.inf]]))
+    @example(np.array([[0.0, np.inf], [1.0, np.inf]]))
     def test_mask_matches_pairwise_oracle(self, F):
         mask = nondominated_mask(F)
         assert mask.dtype == bool and mask.shape == (len(F),)
