@@ -5,6 +5,13 @@ gradient/direction product over the unit box) and the new one (follow the
 anti-gradient sum, with normalized constraint rows and a gradient-scaled
 box).  Solutions are classified into one non-critical and three critical
 cases according to the geometry of the feasible non-ascent directions.
+
+Each LP is written once, on arrays of W Jacobians: ``_prepare`` states
+their data, ``_standard_form`` writes a direction LP, or a non-ascent
+cone LP of the classification, in the simplex's standard form, and
+``_simplex`` solves them, batched from ``_BATCH_MIN_WIDTH`` LPs on and
+one by one below.  ``_solve_batch`` is the direction step of a descent
+iteration, and ``solve_direction`` its one-Jacobian case.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,9 +28,9 @@ from .lp import LpStatus, SolverFailure, _simplex_batch, _simplex_core
 TOL_GRAD = 1e-12  # lp-new drops gradient rows with norm <= this
 TOL_ZERO_DIR = 1e-9  # beta*, cone minima and |p|inf within this of 0 count as 0
 
-# From this many Jacobians per call on, one batched simplex beats a scalar
-# solve per Jacobian (crossover measured per LP on descent Jacobians; see
-# CHANGES.md).  Below it _solve_batch solves them one by one.
+# From this many LPs of one shape on, one batched simplex beats a scalar
+# simplex per LP (crossover measured per LP on descent Jacobians; see
+# CHANGES.md).  Below it _simplex solves them one by one.
 _BATCH_MIN_WIDTH = 16
 
 
@@ -65,157 +70,131 @@ class DirectionResult:
         return self.case is not CriticalityCase.NOT_CRITICAL
 
 
-def _fast_direction_lp(
-    c_p: list, G: list, box: float, c_beta: Optional[float] = None
-) -> tuple[float, list, float]:
-    """min c_p.p + c_beta*beta  s.t.  G p <= beta e, |p|inf <= box, beta <= 0.
+def _sum_in_order(a: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of ``a`` along ``axis`` (>= 0), added in order from 0.0:
+    ((0.0 + a0) + a1) + ....  A running sum adds in order by definition
+    (np.sum adds pairwise, and Python's ``sum`` compensates from 3.12 on);
+    the closing + 0.0 makes the -0.0 that a sum of -0.0 terms leaves the
+    0.0 that a sum from 0.0 gives, and changes no other value."""
+    return np.add.accumulate(a, axis=axis)[(slice(None),) * axis + (-1,)] + 0.0
+
+
+def _prepare(J: np.ndarray, variant: DirectionVariant, epsilon: float):
+    """The direction LPs of the Jacobians J (W, m, n), as arrays.
+
+    Returns (g, keep, gamma, c_beta, G, c_p): the gradient sums (W, n),
+    the mask (W, m) of the rows each LP keeps, the box half-width and
+    the beta weight (W,), the constraint rows G (W, m, n) and the
+    objective c_p (W, n) of  min c_p.p + c_beta*beta  s.t.  G p <= beta e,
+    |p|inf <= gamma, beta <= 0.  lp-base keeps every raw gradient row in
+    the unit box, with c_p = 0 and c_beta = 1.  lp-new drops the rows of
+    norm at most ``TOL_GRAD`` and normalizes the others, weighs p by g and
+    beta by |g| + epsilon, and takes gamma = max(|J|, |g|).
+    """
+    W, m, n = J.shape
+    if variant is DirectionVariant.LP_BASE:
+        g = _sum_in_order(J, 1)
+        return g, np.ones((W, m), dtype=bool), np.ones(W), np.ones(W), J, np.zeros((W, n))
+    # The rows of J and g in one array, for their norms and largest entry.
+    Jg = np.empty((W, m + 1, n))
+    Jg[:, :m] = J
+    g = Jg[:, m]
+    g[:] = _sum_in_order(J, 1)
+    norms = np.sqrt(_sum_in_order(Jg * Jg, 2))
+    gamma = np.abs(Jg).max(axis=(1, 2))
+    return g, norms[:, :m] > TOL_GRAD, gamma, norms[:, m] + epsilon, J / norms[:, :m, None], g
+
+
+def _standard_form(c_p, G, box, c_beta=None):
+    """(cs, As, bs) of W LPs  min c_p.p + c_beta*beta  s.t.  G p <= beta e,
+    |p|inf <= box, beta <= 0, in the simplex's standard form: p shifted by
+    +box onto [0, 2*box], beta entering as -y with y >= 0.
 
     Without ``c_beta`` the beta column is left out, which gives the
-    non-ascent cone LP  min c_p.p  s.t.  G p <= 0, |p|inf <= box  (and
-    beta = 0).  Plain-list reduction to the simplex's standard form, so
-    the hot loop skips the array plumbing.  Returns (value, p, beta).
+    non-ascent cone LP  min c_p.p  s.t.  G p <= 0, |p|inf <= box.
     """
-    n = len(c_p)
-    cs = list(c_p)
-    tail = []
-    if c_beta is not None:
-        cs.append(-c_beta)  # beta enters as -y with y >= 0
-        tail = [1.0]
-    As, bs = [], []
-    for row in G:  # p shifted by +box onto [0, 2*box]
-        As.append(list(row) + tail)
-        bs.append(box * _seq_sum(row))
-    two = 2.0 * box
-    for j in range(n):
-        e = [0.0] * len(cs)
-        e[j] = 1.0
-        As.append(e)
-        bs.append(two)
-    status, y = _simplex_core(cs, As, bs)
-    if status is not LpStatus.OPTIMAL:
-        raise SolverFailure(f"direction LP ended with status {status.value}")
-    p = [y[j] - box for j in range(n)]
-    value = _seq_sum(ci * pi for ci, pi in zip(c_p, p))
-    beta = 0.0
-    if c_beta is not None:
-        beta = -y[n]
-        value += c_beta * beta
-    return value, p, beta
+    W, m, n = G.shape
+    k = n if c_beta is None else n + 1
+    As = np.zeros((W, m + n, k))
+    As[:, :m, :n] = G
+    # Entry (m + j, j) of an LP's (m + n, k) block is its flat entry
+    # m*k + j*(k + 1): the unit rows of the box.
+    As.reshape(W, -1)[:, m * k :: k + 1] = 1.0
+    bs = np.empty((W, m + n))
+    bs[:, :m] = box[:, None] * _sum_in_order(G, 2)
+    bs[:, m:] = (2.0 * box)[:, None]
+    if c_beta is None:
+        return c_p, As, bs
+    As[:, :m, n] = 1.0
+    cs = np.empty((W, k))
+    cs[:, :n] = c_p
+    cs[:, n] = -c_beta
+    return cs, As, bs
 
 
-def solve_direction(
-    jac: np.ndarray,
-    variant: DirectionVariant = DirectionVariant.LP_NEW,
-    epsilon: float = 1.0,
-) -> DirectionResult:
-    """Solve the chosen direction LP and classify the outcome."""
-    jac = np.asarray(jac, dtype=float)
-    m, n = jac.shape
-    J = jac.tolist()
-    g = [_seq_sum(col) for col in zip(*J)]
+def _simplex(cs, As, bs):
+    """Solve W standard-form LPs of one shape: one ``_simplex_batch`` from
+    ``_BATCH_MIN_WIDTH`` LPs on, ``_simplex_core`` for each LP below that
+    width and for each LP the batch leaves with a redundant row.
 
-    if variant is DirectionVariant.LP_NEW:
-        norms = [math.sqrt(_seq_sum(v * v for v in row)) for row in J]
-        dropped = tuple(i for i, nm in enumerate(norms) if nm <= TOL_GRAD)
-        gam = max(
-            max(abs(v) for row in J for v in row),
-            max(abs(v) for v in g),
-        )
-        c_beta = math.sqrt(_seq_sum(v * v for v in g)) + epsilon
-        if len(dropped) == m:
-            return DirectionResult(
-                p_star=np.zeros(n),
-                beta_star=0.0,
-                dropped_rows=dropped,
-                case=CriticalityCase.CRITICAL_ZERO_ONLY,
-                gamma=gam,
-                c_beta=c_beta,
-            )
-        G = [
-            [v / norms[i] for v in J[i]]
-            for i in range(m)
-            if norms[i] > TOL_GRAD
-        ]
-        value, p, beta_star = _fast_direction_lp(g, G, gam, c_beta)
+    Returns (Y (W, nvars), failures): failures maps each LP without an
+    optimum to its SolverFailure; Y holds every other LP's solution.
+    """
+    if len(cs) >= _BATCH_MIN_WIDTH:
+        Y, outcomes = _simplex_batch(cs, As, bs)
+        alone = [w for w, outcome in outcomes.items() if outcome is None]
     else:
-        dropped = ()
-        G = J
-        value, p, beta_star = _fast_direction_lp([0.0] * n, G, 1.0, 1.0)
-        gam = 1.0
-        c_beta = None
+        Y, outcomes, alone = np.zeros(cs.shape), {}, range(len(cs))
+    for w in alone:
+        try:
+            outcomes[w], y = _simplex_core(cs[w].tolist(), As[w].tolist(), bs[w].tolist())
+        except SolverFailure as exc:
+            outcomes[w] = exc
+        else:
+            if outcomes[w] is LpStatus.OPTIMAL:
+                Y[w] = y
+                del outcomes[w]
+    return Y, {
+        w: SolverFailure(f"direction LP ended with status {o.value}") if isinstance(o, LpStatus) else o
+        for w, o in outcomes.items()
+    }
 
-    if beta_star < -TOL_ZERO_DIR:
-        case = CriticalityCase.NOT_CRITICAL
-    else:
-        case = _classify_critical(g, G, gam, p, beta_star, value, variant, c_beta)
 
-    return DirectionResult(
-        p_star=np.array(p),
-        beta_star=beta_star,
-        dropped_rows=dropped,
-        case=case,
-        gamma=gam,
-        c_beta=c_beta,
-    )
+def _cone_min(c: np.ndarray, G: np.ndarray, box: float) -> float:
+    """min c.p over the non-ascent cone  G p <= 0, |p|inf <= box."""
+    Y, failures = _simplex(*_standard_form(c[None], G[None], np.array([box])))
+    if failures:
+        raise failures[0]
+    return float(_sum_in_order(c * (Y[0] - box), 0))
 
 
 def _classify_critical(
-    g: list,
-    G: list,
-    box: float,
-    p_star: list,
-    beta_star: float,
-    value: float,
-    variant: DirectionVariant,
-    c_beta: Optional[float],
+    g: np.ndarray, G: np.ndarray, box: float, p: np.ndarray, min_gp: Optional[float]
 ) -> CriticalityCase:
     """Distinguish the three critical cases at beta* = 0.
 
     The discriminator is min g.p over the feasible non-ascent cone: a
     strictly negative minimum means a non-null direction descending for
     at least one objective; otherwise the cone either is {0} or consists
-    of directions perpendicular to every gradient.
+    of directions perpendicular to every gradient.  lp-new passes the
+    minimum, its own LP's value at beta* = 0; for lp-base (``None``) it
+    is solved for here.
     """
-    n = len(p_star)
-    if variant is DirectionVariant.LP_NEW:
-        # At a critical point the beta term vanishes, so the solved LP's
-        # value already is min g.p over the cone.
-        min_gp = value - c_beta * beta_star
-    else:
-        min_gp = _fast_direction_lp(g, G, box)[0]
-
+    if min_gp is None:
+        min_gp = _cone_min(g, G, box)
     if min_gp < -TOL_ZERO_DIR:
         return CriticalityCase.CRITICAL_NON_NULL
-    if max(abs(v) for v in p_star) > TOL_ZERO_DIR:
+    if np.abs(p).max() > TOL_ZERO_DIR:
         return CriticalityCase.CRITICAL_PERPENDICULAR
     # Returned vertex is 0; probe each coordinate for nonzero feasible
     # directions to tell the {0} cone from a perpendicular one.
-    for j in range(n):
+    for j in range(len(p)):
         for sign in (1.0, -1.0):
-            c = [0.0] * n
+            c = np.zeros(len(p))
             c[j] = sign
-            if _fast_direction_lp(c, G, box)[0] < -TOL_ZERO_DIR:
+            if _cone_min(c, G, box) < -TOL_ZERO_DIR:
                 return CriticalityCase.CRITICAL_PERPENDICULAR
     return CriticalityCase.CRITICAL_ZERO_ONLY
-
-
-def _seq_sum(terms):
-    """((0.0 + t0) + t1) + ...: floats, or arrays elementwise, added in
-    order.  Python's ``sum`` adds in this order only before 3.12 (later
-    it compensates), so the scalar and the batched path both use this."""
-    return reduce(add, terms, 0.0)
-
-
-def _solve_rows(J, rows, variant, epsilon, P, beta, cases, errors):
-    """Row w of P, beta and cases for each w in ``rows``: what
-    solve_direction gives J[w], or errors[w], the exception it raises."""
-    for w in rows:
-        try:
-            d = solve_direction(J[w], variant, epsilon)
-        except Exception as exc:
-            errors[w] = exc
-        else:
-            P[w], beta[w], cases[w] = d.p_star, d.beta_star, d.case
 
 
 def _solve_batch(
@@ -223,85 +202,96 @@ def _solve_batch(
     variant: DirectionVariant = DirectionVariant.LP_NEW,
     epsilon: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """The direction step of one descent iteration: :func:`solve_direction`
-    for each Jacobian of ``J`` (W, m, n).
+    """The direction step of one descent iteration: the direction LP of
+    each Jacobian of ``J`` (W, m, n), solved and classified.
 
     Returns (P (W, n), beta (W,), cases (W,), errors): row w holds the
-    p*, beta* and CriticalityCase solve_direction gives J[w], equal to
-    the bit, unless errors maps w to the exception it raises.
+    p*, beta* and CriticalityCase of J[w], unless errors maps w to the
+    exception its step raised: a ValueError for a Jacobian with a
+    non-finite entry or without rows or columns, a SolverFailure for an
+    LP without an optimum.
 
-    Below ``_BATCH_MIN_WIDTH`` Jacobians each goes to solve_direction.
-    From that width on one batched simplex solves them: the preparation
-    repeats solve_direction's arithmetic elementwise (in-order sums,
-    square roots, quotients) and ``_simplex_batch`` repeats
-    ``_simplex_core``'s pivots.  The rare cases still go to
-    solve_direction: Jacobians with a non-finite entry, lp-new Jacobians
-    with a row dropped for its norm, and LPs left with a redundant row
-    after phase 1.  Critical results are classified one by one, as in
-    solve_direction.
+    ``_prepare`` states the LPs and ``_simplex`` solves those of one
+    shape together, so the width picks only the simplex.  An lp-new
+    Jacobian with a row dropped for its norm has an LP of its own shape,
+    solved alone, and none when every row is dropped (critical-zero-only,
+    p* = 0).  Critical results are classified one by one.
     """
     J = np.asarray(J, dtype=float)
     W, m, n = J.shape
     P, beta, cases, errors = np.zeros((W, n)), np.zeros(W), np.empty(W, dtype=object), {}
-    if W < _BATCH_MIN_WIDTH or m == 0 or n == 0:
-        _solve_rows(J, range(W), variant, epsilon, P, beta, cases, errors)
+    if m == 0 or n == 0:
+        for w in range(W):
+            errors[w] = ValueError(f"a Jacobian of shape {(m, n)} has no entries")
         return P, beta, cases, errors
     lp_new = variant is DirectionVariant.LP_NEW
-    alone = ~np.isfinite(J).all(axis=(1, 2))
     with np.errstate(all="ignore"):
-        g = _seq_sum(J[:, i] for i in range(m))
-        if lp_new:
-            norms = np.sqrt(_seq_sum(J[:, :, j] * J[:, :, j] for j in range(n)))
-            alone |= (norms <= TOL_GRAD).any(axis=1)
-            box = np.maximum(np.abs(J).max(axis=(1, 2)), np.abs(g).max(axis=1))
-            c_beta = np.sqrt(_seq_sum(g[:, j] * g[:, j] for j in range(n))) + epsilon
-            G, c_p = J / norms[:, :, None], g
+        g, keep, gamma, c_beta, G, c_p = _prepare(J, variant, epsilon)
+        # Groups of LPs of one shape: (index into the batch, rows, G).
+        if np.isfinite(J).all() and keep.all():
+            groups = [(slice(None), range(W), G)]
         else:
-            box, c_beta, G, c_p = np.ones(W), np.ones(W), J, np.zeros((W, n))
-        lps = np.flatnonzero(~alone)
-        if alone.any():
-            box, c_beta, G, c_p, g = box[lps], c_beta[lps], G[lps], c_p[lps], g[lps]
-        # _fast_direction_lp's standard form: p shifted by +box onto
-        # [0, 2*box], beta entering as -y with y >= 0.
-        cols = np.arange(n)
-        As = np.zeros((lps.size, m + n, n + 1))
-        As[:, :m, :n] = G
-        As[:, :m, n] = 1.0
-        As[:, m + cols, cols] = 1.0
-        bs = np.empty((lps.size, m + n))
-        bs[:, :m] = box[:, None] * _seq_sum(G[:, :, j] for j in range(n))
-        bs[:, m:] = (2.0 * box)[:, None]
-        Y, outcomes = _simplex_batch(np.concatenate([c_p, -c_beta[:, None]], axis=1), As, bs)
-        P[lps] = Y[:, :n] - box[:, None]
-        beta[lps] = -Y[:, n]
-
-    rows = lps.tolist()
-    redo = np.flatnonzero(alone).tolist()
-    for k, status in outcomes.items():
-        if status is None:
-            redo.append(rows[k])
-        elif isinstance(status, LpStatus):
-            errors[rows[k]] = SolverFailure(f"direction LP ended with status {status.value}")
-        else:
-            errors[rows[k]] = status
-    _solve_rows(J, redo, variant, epsilon, P, beta, cases, errors)
-    solved = np.ones(lps.size, dtype=bool)
-    solved[list(outcomes)] = False
-    critical = solved & ~(beta[lps] < -TOL_ZERO_DIR)
-    cases[lps[solved & ~critical]] = CriticalityCase.NOT_CRITICAL
-    gam, cb = box.tolist(), c_beta.tolist()
-    for k in np.flatnonzero(critical).tolist():
-        w = rows[k]
-        p, b = P[w].tolist(), float(beta[w])
-        value = _seq_sum(ci * pi for ci, pi in zip(c_p[k].tolist(), p)) + cb[k] * b
-        try:
-            cases[w] = _classify_critical(
-                g[k].tolist(), G[k].tolist(), gam[k], p, b, value, variant,
-                cb[k] if lp_new else None,
-            )
-        except Exception as exc:
-            errors[w] = exc
+            finite = np.isfinite(J).all(axis=(1, 2))
+            for w in np.flatnonzero(~finite).tolist():
+                errors[w] = ValueError("a Jacobian entry is not finite")
+            whole = finite & keep.all(axis=1)
+            lps = np.flatnonzero(whole)
+            groups = [(lps, lps.tolist(), G[lps])]
+            for w in np.flatnonzero(finite & ~whole).tolist():
+                if keep[w].any():
+                    groups.append(([w], [w], G[w, keep[w]][None]))
+                else:
+                    cases[w] = CriticalityCase.CRITICAL_ZERO_ONLY
+        for lps, rows, G_lps in groups:
+            if not rows:
+                continue
+            box, cb = gamma[lps], c_beta[lps]
+            Y, failures = _simplex(*_standard_form(c_p[lps], G_lps, box, cb))
+            P[lps] = Y[:, :n] - box[:, None]
+            beta[lps] = -Y[:, n]
+            cases[lps] = CriticalityCase.NOT_CRITICAL
+            for k, exc in failures.items():
+                errors[rows[k]], cases[rows[k]] = exc, None
+            for k, b in enumerate(beta[lps].tolist()):
+                if b < -TOL_ZERO_DIR or k in failures:
+                    continue
+                w, min_gp = rows[k], None
+                if lp_new:
+                    # At a critical point the beta term vanishes, so the
+                    # LP's value less that term is min g.p over the cone
+                    # (taken from the value, so that it rounds as in the
+                    # list formulation the tests compare against).
+                    value = float(_sum_in_order(c_p[w] * P[w], 0)) + cb[k] * b
+                    min_gp = value - cb[k] * b
+                try:
+                    cases[w] = _classify_critical(g[w], G_lps[k], gamma[w], P[w], min_gp)
+                except SolverFailure as exc:
+                    errors[w], cases[w] = exc, None
     return P, beta, cases, errors
+
+
+def solve_direction(
+    jac: np.ndarray,
+    variant: DirectionVariant = DirectionVariant.LP_NEW,
+    epsilon: float = 1.0,
+) -> DirectionResult:
+    """Solve the chosen direction LP for one Jacobian (m, n) and classify
+    the outcome: the one-row case of :func:`_solve_batch`, whose error it
+    raises."""
+    J = np.asarray(jac, dtype=float)[None]
+    (p,), (beta,), (case,), errors = _solve_batch(J, variant, epsilon)
+    if errors:
+        raise errors[0]
+    with np.errstate(all="ignore"):
+        _, keep, gamma, c_beta, _, _ = _prepare(J, variant, epsilon)
+    return DirectionResult(
+        p_star=p,
+        beta_star=float(beta),
+        dropped_rows=tuple(np.flatnonzero(~keep[0]).tolist()),
+        case=case,
+        gamma=float(gamma[0]),
+        c_beta=float(c_beta[0]) if variant is DirectionVariant.LP_NEW else None,
+    )
 
 
 def solve_blockwise(

@@ -12,8 +12,9 @@ variables and rows), and for one LP list arithmetic beats numpy's
 per-call overhead.  ``_simplex_batch`` solves many LPs of one shape in
 one padded numpy tableau and makes, for each of them, the pivots
 ``_simplex_core`` makes, with the same floating-point operations.
-``direction._solve_batch`` uses it from ``direction._BATCH_MIN_WIDTH``
-LPs per call on, the measured crossover.
+``direction._simplex`` picks one by the number of LPs it is given: the
+batch from ``direction._BATCH_MIN_WIDTH`` LPs on, the measured
+crossover, and the scalar simplex per LP below.
 """
 
 from __future__ import annotations
@@ -311,10 +312,10 @@ def _iterate_batch(T, basis, ncols):
         # rounds it), the fold of _bland_rows takes r's row: r beats any
         # earlier best by more than _TOL after rounding, and no later row
         # comes within _TOL of it.  Ties, near-ties and LPs without a
-        # candidate row go through the fold.
+        # candidate row go through the fold.  A one-row LP has no second.
         rows = ratios.argmin(axis=1)
         best = ratios[np.arange(lps.size), rows]
-        second = np.partition(ratios, 1, axis=1)[:, 1]
+        second = np.partition(ratios, 1, axis=1)[:, 1] if nrows > 1 else np.inf
         clear = second - best > 2 * _TOL + 1e-15 * np.abs(best)
         if not clear.all():
             fold = np.flatnonzero(~clear)

@@ -4,13 +4,17 @@ None of this runs in an experiment.  Each function restates a quantity
 the library computes by other means, so the tests can compare the two:
 criticality by sampling directions, LP optima by enumerating vertices,
 Jacobians by central differences, lp-new's normalized rows, the
+direction LPs and their classification on plain lists, the
 critical-region scan cell by cell, the descent one start at a time,
 non-dominance pair by pair, a variant's Pareto ratio and front in two
 stages, and the output files' JSON and CSV text one value at a time.
 """
 
 import json
+import math
+from functools import reduce
 from itertools import combinations
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -18,11 +22,16 @@ import numpy as np
 from mgdkit import (
     BacktrackParams,
     BacktrackVariant,
+    CriticalityCase,
     DirectionConfig,
+    DirectionResult,
+    DirectionVariant,
     Evaluation,
     LpSpec,
+    LpStatus,
     Problem,
     RunResult,
+    SolverFailure,
     Termination,
     dominates,
     evaluate,
@@ -30,7 +39,8 @@ from mgdkit import (
     solve_direction,
 )
 from mgdkit.descent import TraceRecord
-from mgdkit.direction import TOL_ZERO_DIR
+from mgdkit.direction import TOL_GRAD, TOL_ZERO_DIR
+from mgdkit.lp import _simplex_core
 
 
 class OracleInfeasible(Exception):
@@ -124,6 +134,149 @@ def normalize_rows(jac: np.ndarray, tol_grad: float) -> tuple[np.ndarray, tuple[
     keep = norms > tol_grad
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
     return jac[keep] / norms[keep, None], dropped
+
+
+def _direction_lp_oracle(
+    c_p: list, G: list, box: float, c_beta: Optional[float] = None
+) -> tuple[float, list, float]:
+    """min c_p.p + c_beta*beta  s.t.  G p <= beta e, |p|inf <= box, beta <= 0.
+
+    Without ``c_beta`` the beta column is left out, which gives the
+    non-ascent cone LP  min c_p.p  s.t.  G p <= 0, |p|inf <= box  (and
+    beta = 0).  Plain-list reduction to the simplex's standard form.
+    Returns (value, p, beta).
+    """
+    n = len(c_p)
+    cs = list(c_p)
+    tail = []
+    if c_beta is not None:
+        cs.append(-c_beta)  # beta enters as -y with y >= 0
+        tail = [1.0]
+    As, bs = [], []
+    for row in G:  # p shifted by +box onto [0, 2*box]
+        As.append(list(row) + tail)
+        bs.append(box * _seq_sum(row))
+    two = 2.0 * box
+    for j in range(n):
+        e = [0.0] * len(cs)
+        e[j] = 1.0
+        As.append(e)
+        bs.append(two)
+    status, y = _simplex_core(cs, As, bs)
+    if status is not LpStatus.OPTIMAL:
+        raise SolverFailure(f"direction LP ended with status {status.value}")
+    p = [y[j] - box for j in range(n)]
+    value = _seq_sum(ci * pi for ci, pi in zip(c_p, p))
+    beta = 0.0
+    if c_beta is not None:
+        beta = -y[n]
+        value += c_beta * beta
+    return value, p, beta
+
+
+def solve_direction_oracle(
+    jac: np.ndarray,
+    variant: DirectionVariant = DirectionVariant.LP_NEW,
+    epsilon: float = 1.0,
+) -> DirectionResult:
+    """``solve_direction`` stated on plain lists, one Jacobian at a time:
+    the same LP, the same in-order sums and the same simplex, so its
+    results are equal to the bit, except that it does not reject a
+    non-finite or empty Jacobian."""
+    jac = np.asarray(jac, dtype=float)
+    m, n = jac.shape
+    J = jac.tolist()
+    g = [_seq_sum(col) for col in zip(*J)]
+
+    if variant is DirectionVariant.LP_NEW:
+        norms = [math.sqrt(_seq_sum(v * v for v in row)) for row in J]
+        dropped = tuple(i for i, nm in enumerate(norms) if nm <= TOL_GRAD)
+        gam = max(
+            max(abs(v) for row in J for v in row),
+            max(abs(v) for v in g),
+        )
+        c_beta = math.sqrt(_seq_sum(v * v for v in g)) + epsilon
+        if len(dropped) == m:
+            return DirectionResult(
+                p_star=np.zeros(n),
+                beta_star=0.0,
+                dropped_rows=dropped,
+                case=CriticalityCase.CRITICAL_ZERO_ONLY,
+                gamma=gam,
+                c_beta=c_beta,
+            )
+        G = [
+            [v / norms[i] for v in J[i]]
+            for i in range(m)
+            if norms[i] > TOL_GRAD
+        ]
+        value, p, beta_star = _direction_lp_oracle(g, G, gam, c_beta)
+    else:
+        dropped = ()
+        G = J
+        value, p, beta_star = _direction_lp_oracle([0.0] * n, G, 1.0, 1.0)
+        gam = 1.0
+        c_beta = None
+
+    if beta_star < -TOL_ZERO_DIR:
+        case = CriticalityCase.NOT_CRITICAL
+    else:
+        case = _classify_critical_oracle(g, G, gam, p, beta_star, value, variant, c_beta)
+
+    return DirectionResult(
+        p_star=np.array(p),
+        beta_star=beta_star,
+        dropped_rows=dropped,
+        case=case,
+        gamma=gam,
+        c_beta=c_beta,
+    )
+
+
+def _classify_critical_oracle(
+    g: list,
+    G: list,
+    box: float,
+    p_star: list,
+    beta_star: float,
+    value: float,
+    variant: DirectionVariant,
+    c_beta: Optional[float],
+) -> CriticalityCase:
+    """Distinguish the three critical cases at beta* = 0.
+
+    The discriminator is min g.p over the feasible non-ascent cone: a
+    strictly negative minimum means a non-null direction descending for
+    at least one objective; otherwise the cone either is {0} or consists
+    of directions perpendicular to every gradient.
+    """
+    n = len(p_star)
+    if variant is DirectionVariant.LP_NEW:
+        # At a critical point the beta term vanishes, so the solved LP's
+        # value already is min g.p over the cone.
+        min_gp = value - c_beta * beta_star
+    else:
+        min_gp = _direction_lp_oracle(g, G, box)[0]
+
+    if min_gp < -TOL_ZERO_DIR:
+        return CriticalityCase.CRITICAL_NON_NULL
+    if max(abs(v) for v in p_star) > TOL_ZERO_DIR:
+        return CriticalityCase.CRITICAL_PERPENDICULAR
+    # Returned vertex is 0; probe each coordinate for nonzero feasible
+    # directions to tell the {0} cone from a perpendicular one.
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            c = [0.0] * n
+            c[j] = sign
+            if _direction_lp_oracle(c, G, box)[0] < -TOL_ZERO_DIR:
+                return CriticalityCase.CRITICAL_PERPENDICULAR
+    return CriticalityCase.CRITICAL_ZERO_ONLY
+
+
+def _seq_sum(terms):
+    """((0.0 + t0) + t1) + ...: floats added in order.  Python's ``sum``
+    adds in this order only before 3.12 (later it compensates)."""
+    return reduce(add, terms, 0.0)
 
 
 def critical_region_scan_oracle(

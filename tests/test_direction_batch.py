@@ -1,10 +1,13 @@
-"""The direction step of an iteration against the scalar LP, bit for bit.
+"""The direction step against the direction LP stated on plain lists, bit
+for bit.
 
 ``direction._solve_batch`` must give every Jacobian of a batch exactly
-what ``solve_direction`` gives it alone: the same p* bytes, the same
-beta*, the same case, and the same failure, at every width; from
-``_BATCH_MIN_WIDTH`` on it solves them with one batched simplex.  The Jacobians come from
-the generator of the direction-LP robustness item: m = 2-3 objectives,
+what ``oracles.solve_direction_oracle`` gives it alone: the same p*
+bytes, the same beta*, the same case, and the same failure, at every
+width; from ``_BATCH_MIN_WIDTH`` on it solves them with one batched
+simplex.  ``solve_direction``, the one-Jacobian case, must also give the
+oracle's gamma, c_beta and dropped rows.  The Jacobians come from the
+generator of the direction-LP robustness item: m = 2-3 objectives,
 n = 1-5 variables, an overall scale from 1e-8 to 1e8 with each row
 rescaled by up to e^+-3, and exactly opposed rows, rows parallel to
 within 1e-9, zero rows and all-zero Jacobians mixed in.
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 import mgdkit.direction as direction_mod
 from mgdkit import DirectionVariant, solve_direction
 from mgdkit.direction import _BATCH_MIN_WIDTH, _solve_batch
+from oracles import solve_direction_oracle
 
 WIDTHS = (1, _BATCH_MIN_WIDTH - 1, _BATCH_MIN_WIDTH, 200)
 KINDS = ("plain", "opposed", "parallel", "zero-row", "all-zero")
@@ -40,15 +44,15 @@ def random_jacobians(rng, width, m, n, log10_scale):
     return J
 
 
-def _outcome(jac, variant):
+def _outcome(solve, jac, variant):
     try:
-        return solve_direction(jac, variant)
+        return solve(jac, variant)
     except Exception as exc:
         return exc
 
 
 def assert_same(solved, w, expected):
-    """Row w of _solve_batch's (P, beta, cases, errors) against solve_direction."""
+    """Row w of _solve_batch's (P, beta, cases, errors) against the oracle."""
     P, beta, cases, errors = solved
     if isinstance(expected, Exception):
         assert type(errors[w]) is type(expected)
@@ -62,15 +66,32 @@ def assert_same(solved, w, expected):
     assert cases[w] is expected.case
 
 
-def check_batch(J, variant):
-    """Every row of the batch against solve_direction; the failures seen."""
+def assert_same_result(result, expected):
+    """solve_direction's result, or failure, against the oracle's."""
+    if isinstance(expected, Exception):
+        assert type(result) is type(expected)
+        assert str(result) == str(expected)
+        return
+    assert result.p_star.tobytes() == expected.p_star.tobytes()
+    assert repr(result.beta_star) == repr(expected.beta_star)
+    assert result.case is expected.case
+    assert result.dropped_rows == expected.dropped_rows
+    assert repr(result.gamma) == repr(expected.gamma)
+    assert repr(result.c_beta) == repr(expected.c_beta)
+
+
+def check_batch(J, variant, rows=None):
+    """Every row of the batch against the oracle, and solve_direction
+    against it on ``rows`` (default: all); the failures seen."""
     solved = _solve_batch(J, variant)
     P, beta, cases, errors = solved
     assert P.shape == (len(J), J.shape[2]) and beta.shape == cases.shape == (len(J),)
     failures = []
     for w, jac in enumerate(J):
-        expected = _outcome(jac, variant)
+        expected = _outcome(solve_direction_oracle, jac, variant)
         assert_same(solved, w, expected)
+        if rows is None or w in rows:
+            assert_same_result(_outcome(solve_direction, jac, variant), expected)
         if isinstance(expected, Exception):
             failures.append(str(expected))
     assert len(errors) == len(failures)
@@ -101,7 +122,7 @@ class TestBatchedEqualsScalar:
         failures = []
         for m in (2, 3):
             for n in (2, 4, 5):
-                failures += check_batch(random_jacobians(rng, 200, m, n, 8.0), variant)
+                failures += check_batch(random_jacobians(rng, 200, m, n, 8.0), variant, range(20))
         assert failures
         assert set(failures) <= {
             "direction LP ended with status infeasible",
@@ -113,22 +134,53 @@ class TestBatchedEqualsScalar:
         # sum adds floats from 3.12 on, it is 1 + 2**-52.  Both paths add
         # in order on every interpreter, so gamma = max(|J|, |g|) is 1.0.
         jac = np.array([[1.0, 0.0], [1e-16, 1.0], [1e-16, -1.0]])
-        expected = solve_direction(jac, DirectionVariant.LP_NEW)
+        expected = solve_direction_oracle(jac, DirectionVariant.LP_NEW)
         assert expected.gamma == 1.0
+        assert_same_result(solve_direction(jac, DirectionVariant.LP_NEW), expected)
         solved = _solve_batch(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW)
         for w in range(_BATCH_MIN_WIDTH):
             assert_same(solved, w, expected)
 
     def test_dropped_rows_and_non_finite_entries(self):
-        # lp-new drops the rows of an all-zero Jacobian; a NaN entry sends
-        # the Jacobian to solve_direction itself.
+        # lp-new drops the rows of an all-zero Jacobian and one row of J[3],
+        # which gets an LP of its own; the Jacobian with a NaN entry fails
+        # alone, with a ValueError.
         J = np.zeros((_BATCH_MIN_WIDTH, 2, 3))
         J[1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         J[2] = [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]
+        J[3] = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         for variant in DirectionVariant:
             solved = _solve_batch(J, variant)
+            errors = solved[3]
+            assert list(errors) == [2] and type(errors[2]) is ValueError
             for w, jac in enumerate(J):
-                assert_same(solved, w, _outcome(jac, variant))
+                if w != 2:
+                    assert_same(solved, w, solve_direction_oracle(jac, variant))
+
+    @pytest.mark.parametrize("variant", list(DirectionVariant))
+    @pytest.mark.parametrize(
+        "jac",
+        [
+            [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]],
+            [[1.0, np.inf, 0.0], [0.0, 1.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, -np.inf, 0.0]],
+            np.zeros((0, 3)),
+            np.zeros((2, 0)),
+        ],
+        ids=["nan", "inf", "-inf", "no-rows", "no-columns"],
+    )
+    def test_non_finite_and_empty_jacobians_rejected(self, jac, variant):
+        # Each such Jacobian is a ValueError of its own row in a batch, and
+        # solve_direction raises it; the batch's other rows are solved.
+        jac = np.asarray(jac, dtype=float)
+        with pytest.raises(ValueError, match="Jacobian"):
+            solve_direction(jac, variant)
+        J = np.stack([jac, np.full_like(jac, 2.0), jac])
+        P, beta, cases, errors = _solve_batch(J, variant)
+        assert sorted(errors) == ([0, 1, 2] if jac.size == 0 else [0, 2])
+        assert all(type(exc) is ValueError for exc in errors.values())
+        if jac.size:
+            assert_same((P, beta, cases, errors), 1, solve_direction_oracle(J[1], variant))
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("variant", list(DirectionVariant))
@@ -142,5 +194,5 @@ class TestBatchedEqualsScalar:
 
         monkeypatch.setattr(direction_mod, "_simplex_batch", spy)
         J = np.random.default_rng(width).normal(size=(width, 2, 3))
-        check_batch(J, variant)
+        check_batch(J, variant, rows=())
         assert calls == ([width] if width >= _BATCH_MIN_WIDTH else [])

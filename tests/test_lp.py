@@ -1,9 +1,13 @@
-"""Tests for the bounded-variable LP solver and its enumeration oracle."""
+"""Tests for the bounded-variable LP solver and its enumeration oracle,
+and for the batched simplex against the scalar one."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mgdkit import LpResult, LpSpec, LpStatus, solve_lp
+from mgdkit import LpResult, LpSpec, LpStatus, SolverFailure, solve_lp
+from mgdkit.lp import _simplex_batch, _simplex_core
 from oracles import OracleInfeasible, enumerate_vertices_oracle
 
 INF = np.inf
@@ -195,3 +199,88 @@ def test_random_lps_match_oracle():
         assert res.objective_value == pytest.approx(oracle_value, abs=1e-8)
         _check_result(spec, res)
         checked += 1
+
+
+LP_KINDS = ("plain", "integer", "feasible", "phase-1", "infeasible", "unbounded")
+
+
+def random_standard_lps(rng, width, nrows, nvars):
+    """``width`` standard-form LPs (cs, As, bs) of one shape, each of a
+    random kind: normal data; small integers, whose ties and degenerate
+    vertices send the ratio test through Bland's rule; a positive system
+    with y = 0 feasible (no phase 1); one with a >= row, which needs
+    phase 1; a nonnegative row with a negative right-hand side
+    (infeasible); and a column that a negative cost may grow without
+    bound (unbounded)."""
+    cs = rng.normal(size=(width, nvars))
+    As = rng.normal(size=(width, nrows, nvars))
+    bs = rng.normal(size=(width, nrows))
+    for c, A, b, kind in zip(cs, As, bs, rng.choice(LP_KINDS, size=width)):
+        if kind == "integer":
+            c[:], A[:], b[:] = (rng.integers(-3, 4, size=x.shape) for x in (c, A, b))
+        elif kind in ("feasible", "phase-1"):
+            A[:], b[:] = np.abs(A) + 0.1, np.abs(b) + 1.0
+            if kind == "phase-1":
+                A[0], b[0] = -A[0], -0.5 * b[0] / nvars
+        elif kind == "infeasible":
+            A[0], b[0] = np.abs(A[0]), -np.abs(b[0]) - 1.0
+        elif kind == "unbounded":
+            c[0], A[:, 0], b[:] = -1.0 - abs(c[0]), -np.abs(A[:, 0]), np.abs(b)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(width, 1))
+    return cs * scale, As * scale[:, :, None], bs * scale
+
+
+def _core_outcome(c, A, b):
+    try:
+        return _simplex_core(c.tolist(), A.tolist(), b.tolist())
+    except SolverFailure as exc:
+        return exc, None
+
+
+def check_batched_simplex(cs, As, bs):
+    """Each LP of one _simplex_batch call against _simplex_core alone: the
+    bytes of y where optimal, else the same status or SolverFailure
+    message.  Returns the outcomes seen."""
+    Y, outcomes = _simplex_batch(cs, As, bs)
+    assert Y.shape == cs.shape
+    seen = []
+    for w in range(len(cs)):
+        status, y = _core_outcome(cs[w], As[w], bs[w])
+        # The batch returns None only where phase 1 leaves an artificial
+        # basic in a row without an entry to pivot on, a row _simplex_core
+        # drops.  In these LPs every row keeps its own slack column, whose
+        # entry stays +-1 until the row is a pivot row, so that never
+        # happens.
+        assert outcomes.get(w, LpStatus.OPTIMAL) is not None
+        if status is LpStatus.OPTIMAL:
+            assert w not in outcomes, outcomes[w]
+            assert Y[w].tobytes() == np.array(y).tobytes()
+        elif isinstance(status, SolverFailure):
+            assert type(outcomes[w]) is SolverFailure
+            assert str(outcomes[w]) == str(status)
+        else:
+            assert outcomes[w] is status
+        seen.append(status if isinstance(status, LpStatus) else type(status))
+    return seen
+
+
+class TestBatchedSimplexEqualsScalar:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from((1, 2, 16, 60)),
+        nrows=st.integers(1, 7),
+        nvars=st.integers(1, 6),
+    )
+    def test_random_batches(self, seed, width, nrows, nvars):
+        check_batched_simplex(*random_standard_lps(np.random.default_rng(seed), width, nrows, nvars))
+
+    def test_every_outcome_seen(self):
+        # The generator reaches optimal LPs with and without phase 1,
+        # infeasible and unbounded ones, in one batch.
+        rng = np.random.default_rng(3)
+        cs, As, bs = random_standard_lps(rng, 200, 4, 3)
+        seen = check_batched_simplex(cs, As, bs)
+        assert {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED} <= set(seen)
+        optimal = np.array([s is LpStatus.OPTIMAL for s in seen])
+        assert (optimal & (bs < 0).any(axis=1)).any()
