@@ -62,8 +62,8 @@ class BacktrackParams:
             raise ValueError("eta0 must be positive and finite")
         if self.theta < 1:
             raise ValueError("theta must be a positive integer")
-        if self.eta_hat is not None and self.eta_hat < 0:
-            raise ValueError("eta_hat must be >= 0")
+        if self.eta_hat is not None and not (self.eta_hat >= 0 and math.isfinite(self.eta_hat)):
+            raise ValueError("eta_hat must be >= 0 and finite")
         object.__setattr__(
             self, "_ladder", self.eta0 * self.alpha ** np.arange(self.theta)
         )

@@ -85,11 +85,13 @@ def _prepare(J: np.ndarray, variant: DirectionVariant, epsilon: float):
     Returns (g, keep, gamma, c_beta, G, c_p): the gradient sums (W, n),
     the mask (W, m) of the rows each LP keeps, the box half-width and
     the beta weight (W,), the constraint rows G (W, m, n) and the
-    objective c_p (W, n) of  min c_p.p + c_beta*beta  s.t.  G p <= beta e,
-    |p|inf <= gamma, beta <= 0.  lp-base keeps every raw gradient row in
-    the unit box, with c_p = 0 and c_beta = 1.  lp-new drops the rows of
-    norm at most ``TOL_GRAD`` and normalizes the others, weighs p by g and
-    beta by |g| + epsilon, and takes gamma = max(|J|, |g|).
+    objective c_p (W, n) of  min c_p.p + c_beta*beta  s.t.  G_i p <= beta
+    for each kept row i, |p|inf <= gamma, beta <= 0.  lp-base keeps every
+    raw gradient row in the unit box, with c_p = 0 and c_beta = 1.  lp-new
+    drops the rows of norm at most ``TOL_GRAD`` and normalizes the others,
+    weighs p by g and beta by |g| + epsilon, and takes gamma = max(|J|, |g|).
+    A dropped row stays in G as a zero row, so every LP of a batch has the
+    same shape.
     """
     W, m, n = J.shape
     if variant is DirectionVariant.LP_BASE:
@@ -102,13 +104,17 @@ def _prepare(J: np.ndarray, variant: DirectionVariant, epsilon: float):
     g[:] = _sum_in_order(J, 1)
     norms = np.sqrt(_sum_in_order(Jg * Jg, 2))
     gamma = np.abs(Jg).max(axis=(1, 2))
-    return g, norms[:, :m] > TOL_GRAD, gamma, norms[:, m] + epsilon, J / norms[:, :m, None], g
+    keep = norms[:, :m] > TOL_GRAD
+    G = np.where(keep[:, :, None], J / norms[:, :m, None], 0.0)
+    return g, keep, gamma, norms[:, m] + epsilon, G, g
 
 
-def _standard_form(c_p, G, box, c_beta=None):
-    """(cs, As, bs) of W LPs  min c_p.p + c_beta*beta  s.t.  G p <= beta e,
-    |p|inf <= box, beta <= 0, in the simplex's standard form: p shifted by
-    +box onto [0, 2*box], beta entering as -y with y >= 0.
+def _standard_form(c_p, G, box, c_beta=None, keep=None):
+    """(cs, As, bs) of W LPs  min c_p.p + c_beta*beta  s.t.  G_i p <= beta
+    for each row i that ``keep`` (W, m) marks, |p|inf <= box, beta <= 0,
+    in the simplex's standard form: p shifted by +box onto [0, 2*box],
+    beta entering as -y with y >= 0.  A row that is not kept is a zero row
+    of G with a zero beta entry: it reads 0 <= 0, which no pivot touches.
 
     Without ``c_beta`` the beta column is left out, which gives the
     non-ascent cone LP  min c_p.p  s.t.  G p <= 0, |p|inf <= box.
@@ -125,7 +131,7 @@ def _standard_form(c_p, G, box, c_beta=None):
     bs[:, m:] = (2.0 * box)[:, None]
     if c_beta is None:
         return c_p, As, bs
-    As[:, :m, n] = 1.0
+    As[:, :m, n] = keep
     cs = np.empty((W, k))
     cs[:, :n] = c_p
     cs[:, n] = -c_beta
@@ -134,26 +140,25 @@ def _standard_form(c_p, G, box, c_beta=None):
 
 def _simplex(cs, As, bs):
     """Solve W standard-form LPs of one shape: one ``_simplex_batch`` from
-    ``_BATCH_MIN_WIDTH`` LPs on, ``_simplex_core`` for each LP below that
-    width and for each LP the batch leaves with a redundant row.
+    ``_BATCH_MIN_WIDTH`` LPs on, ``_simplex_core`` for each LP below.
 
     Returns (Y (W, nvars), failures): failures maps each LP without an
     optimum to its SolverFailure; Y holds every other LP's solution.
     """
     if len(cs) >= _BATCH_MIN_WIDTH:
         Y, outcomes = _simplex_batch(cs, As, bs)
-        alone = [w for w, outcome in outcomes.items() if outcome is None]
     else:
-        Y, outcomes, alone = np.zeros(cs.shape), {}, range(len(cs))
-    for w in alone:
-        try:
-            outcomes[w], y = _simplex_core(cs[w].tolist(), As[w].tolist(), bs[w].tolist())
-        except SolverFailure as exc:
-            outcomes[w] = exc
-        else:
-            if outcomes[w] is LpStatus.OPTIMAL:
-                Y[w] = y
-                del outcomes[w]
+        Y, outcomes = np.zeros(cs.shape), {}
+        for w in range(len(cs)):
+            try:
+                status, y = _simplex_core(cs[w].tolist(), As[w].tolist(), bs[w].tolist())
+            except SolverFailure as exc:
+                outcomes[w] = exc
+            else:
+                if status is LpStatus.OPTIMAL:
+                    Y[w] = y
+                else:
+                    outcomes[w] = status
     return Y, {
         w: SolverFailure(f"direction LP ended with status {o.value}") if isinstance(o, LpStatus) else o
         for w, o in outcomes.items()
@@ -211,11 +216,11 @@ def _solve_batch(
     non-finite entry or without rows or columns, a SolverFailure for an
     LP without an optimum.
 
-    ``_prepare`` states the LPs and ``_simplex`` solves those of one
-    shape together, so the width picks only the simplex.  An lp-new
-    Jacobian with a row dropped for its norm has an LP of its own shape,
-    solved alone, and none when every row is dropped (critical-zero-only,
-    p* = 0).  Critical results are classified one by one.
+    ``_prepare`` states the LPs, all of one shape, and one ``_simplex``
+    call solves them, so the width picks only the simplex.  An lp-new
+    row dropped for its norm is a zero row of its LP; a Jacobian with
+    every row dropped has no LP (critical-zero-only, p* = 0).  Critical
+    results are classified one by one.
     """
     J = np.asarray(J, dtype=float)
     W, m, n = J.shape
@@ -227,26 +232,19 @@ def _solve_batch(
     lp_new = variant is DirectionVariant.LP_NEW
     with np.errstate(all="ignore"):
         g, keep, gamma, c_beta, G, c_p = _prepare(J, variant, epsilon)
-        # Groups of LPs of one shape: (index into the batch, rows, G).
-        if np.isfinite(J).all() and keep.all():
-            groups = [(slice(None), range(W), G)]
+        # The LPs solved: every finite Jacobian with a row kept.
+        if np.isfinite(J).all() and keep.any(axis=1).all():
+            lps, rows = slice(None), range(W)
         else:
             finite = np.isfinite(J).all(axis=(1, 2))
             for w in np.flatnonzero(~finite).tolist():
                 errors[w] = ValueError("a Jacobian entry is not finite")
-            whole = finite & keep.all(axis=1)
-            lps = np.flatnonzero(whole)
-            groups = [(lps, lps.tolist(), G[lps])]
-            for w in np.flatnonzero(finite & ~whole).tolist():
-                if keep[w].any():
-                    groups.append(([w], [w], G[w, keep[w]][None]))
-                else:
-                    cases[w] = CriticalityCase.CRITICAL_ZERO_ONLY
-        for lps, rows, G_lps in groups:
-            if not rows:
-                continue
-            box, cb = gamma[lps], c_beta[lps]
-            Y, failures = _simplex(*_standard_form(c_p[lps], G_lps, box, cb))
+            cases[finite & ~keep.any(axis=1)] = CriticalityCase.CRITICAL_ZERO_ONLY
+            lps = np.flatnonzero(finite & keep.any(axis=1))
+            rows = lps.tolist()
+        if rows:
+            box, cb, G = gamma[lps], c_beta[lps], G[lps]
+            Y, failures = _simplex(*_standard_form(c_p[lps], G, box, cb, keep[lps]))
             P[lps] = Y[:, :n] - box[:, None]
             beta[lps] = -Y[:, n]
             cases[lps] = CriticalityCase.NOT_CRITICAL
@@ -264,7 +262,7 @@ def _solve_batch(
                     value = float(_sum_in_order(c_p[w] * P[w], 0)) + cb[k] * b
                     min_gp = value - cb[k] * b
                 try:
-                    cases[w] = _classify_critical(g[w], G_lps[k], gamma[w], P[w], min_gp)
+                    cases[w] = _classify_critical(g[w], G[k], gamma[w], P[w], min_gp)
                 except SolverFailure as exc:
                     errors[w], cases[w] = exc, None
     return P, beta, cases, errors

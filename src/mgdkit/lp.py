@@ -11,7 +11,11 @@ tableau in plain Python lists: the LPs here are tiny (a handful of
 variables and rows), and for one LP list arithmetic beats numpy's
 per-call overhead.  ``_simplex_batch`` solves many LPs of one shape in
 one padded numpy tableau and makes, for each of them, the pivots
-``_simplex_core`` makes, with the same floating-point operations.
+``_simplex_core`` makes, with the same floating-point operations.  Both
+run the same phases on one tableau: phase 1 drives the artificials out
+where a row has an entry above ``_TOL`` to pivot on, and phase 2 keeps
+the artificial columns but never brings one in, so no row is dropped
+and neither statement hands an LP to the other.
 ``direction._simplex`` picks one by the number of LPs it is given: the
 batch from ``direction._BATCH_MIN_WIDTH`` LPs on, the measured
 crossover, and the scalar simplex per LP below.
@@ -55,6 +59,8 @@ class LpSpec:
         upper = np.asarray(self.upper, dtype=float)
         if A.shape != (b.size, c.size) or lower.size != c.size or upper.size != c.size:
             raise ValueError("inconsistent LP dimensions")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("lower bounds must not exceed upper bounds")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -136,13 +142,14 @@ def _pivot(T, basis, nrows, width, row, col):
     basis[row] = col
 
 
-def _iterate(T, basis, nrows, ncols):
-    """Bland-rule pivots to optimality; False means unbounded."""
-    width = ncols + 1
+def _iterate(T, basis, nrows, nenter):
+    """Bland-rule pivots to optimality, bringing in only the first
+    ``nenter`` columns; False means unbounded."""
+    width = len(T[nrows])
     cost = T[nrows]
     while True:
         entering = -1
-        for j in range(ncols):
+        for j in range(nenter):
             if cost[j] < -_TOL:
                 entering = j
                 break
@@ -152,7 +159,7 @@ def _iterate(T, basis, nrows, ncols):
         for i in range(nrows):
             a = T[i][entering]
             if a > _TOL:
-                ratio = T[i][ncols] / a
+                ratio = T[i][-1] / a
                 if ratio < best_ratio - _TOL or (
                     abs(ratio - best_ratio) <= _TOL
                     and (best_row < 0 or basis[i] < basis[best_row])
@@ -167,11 +174,11 @@ def _simplex_core(cs, As, bs):
     """Two-phase simplex on standard form (lists). Returns (status, y)."""
     nrows, nvars = len(bs), len(cs)
     nart = sum(1 for b in bs if b < 0)
-    ncols = nvars + nrows + nart
+    base = nvars + nrows  # the first artificial column
+    ncols = base + nart
     T = [[0.0] * (ncols + 1) for _ in range(nrows + 1)]
     basis = [0] * nrows
-    art_cols = []
-    k = 0
+    k = base
     for i in range(nrows):
         neg = bs[i] < 0
         s = -1.0 if neg else 1.0
@@ -182,10 +189,8 @@ def _simplex_core(cs, As, bs):
         row[nvars + i] = s
         row[ncols] = s * bs[i]
         if neg:
-            col = nvars + nrows + k
-            row[col] = 1.0
-            basis[i] = col
-            art_cols.append(col)
+            row[k] = 1.0
+            basis[i] = k
             k += 1
         else:
             basis[i] = nvars + i
@@ -193,35 +198,28 @@ def _simplex_core(cs, As, bs):
     if nart:
         # Phase 1: minimize the sum of artificials.
         cost = T[nrows]
-        art_set = set(art_cols)
         for i in range(nrows):
-            if basis[i] in art_set:
+            if basis[i] >= base:
                 Ti = T[i]
                 for j in range(ncols + 1):
                     cost[j] -= Ti[j]
-        for col in art_cols:
-            cost[col] = 0.0
+        for j in range(base, ncols):
+            cost[j] = 0.0
         if not _iterate(T, basis, nrows, ncols):
             raise SolverFailure("phase-1 objective unbounded")
         if -T[nrows][ncols] > _PHASE1_TOL:
             return LpStatus.INFEASIBLE, None
-        # Drive leftover (degenerate) artificials out, drop redundant rows.
-        keep = []
+        # Drive leftover (degenerate) artificials out on the first column
+        # with an entry above _TOL.  Where a row has none, its artificial
+        # stays basic at a level within _PHASE1_TOL of 0; phase 2 never
+        # brings an artificial in, and y never reads one.
         for i in range(nrows):
-            if basis[i] in art_set:
-                for j in range(nvars + nrows):
-                    if abs(T[i][j]) > _TOL:
+            if basis[i] >= base:
+                Ti = T[i]
+                for j in range(base):
+                    if abs(Ti[j]) > _TOL:
                         _pivot(T, basis, nrows, ncols + 1, i, j)
                         break
-                else:
-                    continue  # redundant row
-            keep.append(i)
-        width = nvars + nrows
-        T = [[T[i][j] for j in range(width)] + [T[i][ncols]] for i in keep]
-        basis = [basis[i] for i in keep]
-        nrows = len(basis)
-        T.append([0.0] * (width + 1))
-        ncols = width
 
     # Phase 2: install the true objective row.
     cost = T[nrows]
@@ -236,7 +234,7 @@ def _simplex_core(cs, As, bs):
             Ti = T[i]
             for j in range(ncols + 1):
                 cost[j] -= cb * Ti[j]
-    if not _iterate(T, basis, nrows, ncols):
+    if not _iterate(T, basis, nrows, base):
         return LpStatus.UNBOUNDED, None
 
     y = [0.0] * nvars
@@ -335,16 +333,13 @@ def _simplex_batch(cs, As, bs):
     All LPs share one padded (W, nrows + 1, nvars + nrows + max_art + 1)
     tableau: an LP with fewer artificials has zero columns there, whose
     zero cost never lets them enter, and an LP without artificials has a
-    zero phase-1 cost row, so phase 1 leaves it as it is.  Phase 2 leaves
-    the artificial columns out of the entering scan, as ``_simplex_core``
-    leaves them out of its tableau.  Every LP makes the pivots
+    zero phase-1 cost row, so phase 1 leaves it as it is.  Phase 2 runs
+    on the phase-1 tableau and leaves the artificial columns out of the
+    entering scan, as ``_simplex_core`` does.  Every LP makes the pivots
     ``_simplex_core`` makes for it alone, so its y is the same to the bit.
 
     Returns (Y, outcomes): Y is (W, nvars), valid where the LP is optimal;
-    outcomes maps every other LP to its LpStatus, to its SolverFailure, or
-    to None where phase 1 leaves an artificial basic in a row with no entry
-    above ``_TOL`` to pivot on: a redundant row, which only
-    ``_simplex_core`` drops.
+    outcomes maps every other LP to its LpStatus or its SolverFailure.
     """
     W, nrows, nvars = As.shape
     neg = bs < 0
@@ -374,19 +369,15 @@ def _simplex_batch(cs, As, bs):
             for j in np.flatnonzero(-cost[:, -1] > _PHASE1_TOL).tolist():
                 outcomes.setdefault(j, LpStatus.INFEASIBLE)
             # Drive leftover (degenerate) artificials out, row by row, on
-            # the first column with an entry above _TOL.
+            # the first column with an entry above _TOL, as _simplex_core
+            # does; an LP whose row has none keeps its artificial basic.
             settled = np.zeros(W, dtype=bool)
+            settled[list(outcomes)] = True
             for i in np.flatnonzero((basis >= base).any(axis=0)).tolist():
-                settled[list(outcomes)] = True
-                lps = np.flatnonzero((basis[:, i] >= base) & ~settled)
+                big = np.abs(T[:, i, :base]) > _TOL
+                lps = np.flatnonzero((basis[:, i] >= base) & ~settled & big.any(axis=1))
                 if lps.size:
-                    big = np.abs(T[lps, i, :base]) > _TOL
-                    cols = big.argmax(axis=1)
-                    redundant = ~big[np.arange(lps.size), cols]
-                    for j in lps[redundant].tolist():
-                        outcomes[j] = None
-                    keep = ~redundant
-                    _pivot_batch(T, basis, lps[keep], np.full(keep.sum(), i), cols[keep])
+                    _pivot_batch(T, basis, lps, np.full(lps.size, i), big[lps].argmax(axis=1))
 
         # Phase 2: install the true objective row.
         cost[:] = 0.0

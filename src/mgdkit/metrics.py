@@ -169,6 +169,8 @@ def critical_region_scan(
         raise ValueError("pair must be two distinct objective numbers")
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
+    if not math.isfinite(tol_grad):
+        raise ValueError("tol_grad must be finite")
     i, j = i - 1, j - 1
 
     axes = [

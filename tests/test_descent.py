@@ -93,8 +93,9 @@ class TestParams:
             BacktrackParams(eta0=0.0)
         with pytest.raises(ValueError):
             BacktrackParams(theta=0)
-        with pytest.raises(ValueError):
-            BacktrackParams(eta_hat=-0.1)
+        for eta_hat in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                BacktrackParams(eta_hat=eta_hat)
 
     def test_fallback_default(self):
         params = BacktrackParams(eta0=1.0, alpha=0.8, theta=40)

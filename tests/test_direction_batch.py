@@ -142,9 +142,9 @@ class TestBatchedEqualsScalar:
             assert_same(solved, w, expected)
 
     def test_dropped_rows_and_non_finite_entries(self):
-        # lp-new drops the rows of an all-zero Jacobian and one row of J[3],
-        # which gets an LP of its own; the Jacobian with a NaN entry fails
-        # alone, with a ValueError.
+        # lp-new drops the rows of an all-zero Jacobian, which has no LP,
+        # and one row of J[3], a zero row of its LP; the Jacobian with a NaN
+        # entry fails alone, with a ValueError.
         J = np.zeros((_BATCH_MIN_WIDTH, 2, 3))
         J[1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         J[2] = [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]
@@ -183,16 +183,34 @@ class TestBatchedEqualsScalar:
             assert_same((P, beta, cases, errors), 1, solve_direction_oracle(J[1], variant))
 
     @pytest.mark.parametrize("width", WIDTHS)
-    @pytest.mark.parametrize("variant", list(DirectionVariant))
-    def test_batched_simplex_iff_wide(self, width, variant, monkeypatch):
-        # One batched simplex from _BATCH_MIN_WIDTH Jacobians on, none below.
-        calls, simplex_batch = [], direction_mod._simplex_batch
+    @pytest.mark.parametrize(
+        "variant, zero_rows",
+        [(DirectionVariant.LP_BASE, False), (DirectionVariant.LP_NEW, False), (DirectionVariant.LP_NEW, True)],
+        ids=["lp-base", "lp-new", "lp-new-dropped-rows"],
+    )
+    def test_batched_simplex_iff_wide(self, width, variant, zero_rows, monkeypatch):
+        # One batched simplex from _BATCH_MIN_WIDTH Jacobians on and no
+        # scalar one; below it a scalar simplex per Jacobian.  A row lp-new
+        # drops for its norm (a zero row in every third Jacobian) keeps its
+        # Jacobian in the batch.  (lp-base keeps a zero row, which makes
+        # its Jacobian critical and classified by scalar cone LPs.)
+        calls, core_calls = [], []
+        simplex_batch, simplex_core = direction_mod._simplex_batch, direction_mod._simplex_core
 
         def spy(*args):
             calls.append(len(args[0]))
             return simplex_batch(*args)
 
+        def core_spy(*args):
+            core_calls.append(len(args[0]))
+            return simplex_core(*args)
+
         monkeypatch.setattr(direction_mod, "_simplex_batch", spy)
+        monkeypatch.setattr(direction_mod, "_simplex_core", core_spy)
         J = np.random.default_rng(width).normal(size=(width, 2, 3))
+        if zero_rows:
+            J[::3, 0] = 0.0
         check_batch(J, variant, rows=())
-        assert calls == ([width] if width >= _BATCH_MIN_WIDTH else [])
+        wide = width >= _BATCH_MIN_WIDTH
+        assert calls == ([width] if wide else [])
+        assert len(core_calls) == (0 if wide else width)

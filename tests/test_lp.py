@@ -161,6 +161,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             _spec([1.0], np.empty((0, 1)), [], [2.0], [1.0])
 
+    def test_nan_bounds(self):
+        # NaN passes the ordering check; +-inf bounds stay allowed.
+        for lower, upper in (([np.nan], [INF]), ([-INF], [np.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                _spec([1.0], [[1.0]], [5.0], lower, upper)
+        assert solve_lp(_spec([1.0], [[1.0]], [5.0], [-INF], [INF])).status is LpStatus.UNBOUNDED
+
     def test_nonfinite_objective(self):
         with pytest.raises(ValueError):
             _spec([np.nan], np.empty((0, 1)), [], [0.0], [1.0])
@@ -246,12 +253,6 @@ def check_batched_simplex(cs, As, bs):
     seen = []
     for w in range(len(cs)):
         status, y = _core_outcome(cs[w], As[w], bs[w])
-        # The batch returns None only where phase 1 leaves an artificial
-        # basic in a row without an entry to pivot on, a row _simplex_core
-        # drops.  In these LPs every row keeps its own slack column, whose
-        # entry stays +-1 until the row is a pivot row, so that never
-        # happens.
-        assert outcomes.get(w, LpStatus.OPTIMAL) is not None
         if status is LpStatus.OPTIMAL:
             assert w not in outcomes, outcomes[w]
             assert Y[w].tobytes() == np.array(y).tobytes()
@@ -284,3 +285,43 @@ class TestBatchedSimplexEqualsScalar:
         assert {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED} <= set(seen)
         optimal = np.array([s is LpStatus.OPTIMAL for s in seen])
         assert (optimal & (bs < 0).any(axis=1)).any()
+
+
+def with_zero_rows(rng, cs, As, bs):
+    """The LPs with an all-zero row of right-hand side 0 inserted, each at
+    a random position of its own."""
+    W, nrows, nvars = As.shape
+    At, bt = np.zeros((W, nrows + 1, nvars)), np.zeros((W, nrows + 1))
+    for w, i in enumerate(rng.integers(0, nrows + 1, size=W)):
+        At[w] = np.insert(As[w], i, 0.0, axis=0)
+        bt[w] = np.insert(bs[w], i, 0.0)
+    return cs, At, bt
+
+
+class TestZeroRows:
+    # A zero row with a zero right-hand side reads 0 <= 0: it gets no
+    # artificial, no ratio test picks it and no pivot changes it, so both
+    # simplexes give what they give without it, to the bit.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from((1, 16, 60)),
+        nrows=st.integers(1, 6),
+        nvars=st.integers(1, 5),
+    )
+    def test_zero_row_changes_nothing(self, seed, width, nrows, nvars):
+        rng = np.random.default_rng(seed)
+        lps = random_standard_lps(rng, width, nrows, nvars)
+        zero = with_zero_rows(rng, *lps)
+        Y, outcomes = _simplex_batch(*lps)
+        Yz, outcomes_z = _simplex_batch(*zero)
+        assert {w: (type(o), str(o)) for w, o in outcomes_z.items()} == {
+            w: (type(o), str(o)) for w, o in outcomes.items()
+        }
+        optimal = [w for w in range(width) if w not in outcomes]
+        assert Yz[optimal].tobytes() == Y[optimal].tobytes()
+        for w in range(width):
+            status, y = _core_outcome(*(x[w] for x in lps))
+            status_z, y_z = _core_outcome(*(x[w] for x in zero))
+            assert type(status_z) is type(status) and str(status_z) == str(status)
+            assert np.array(y_z).tobytes() == np.array(y).tobytes()

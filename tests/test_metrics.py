@@ -200,6 +200,12 @@ class TestCriticalRegionScan:
         with pytest.raises(ValueError):
             critical_region_scan(prob, prob.domain_box, [8], (1, 2), 1e-3)
 
+    @pytest.mark.parametrize("tol, tol_grad", [(np.nan, 1e-12), (1e-3, np.nan), (1e-3, np.inf)])
+    def test_tolerance_validation(self, tol, tol_grad):
+        prob = _two_quadratics()
+        with pytest.raises(ValueError, match="finite"):
+            critical_region_scan(prob, prob.domain_box, [8, 8], (1, 2), tol, tol_grad=tol_grad)
+
     def test_zero_gradient_cells_unmarked(self):
         # At the midpoint between the two minimizers both gradients are
         # nonzero; at each minimizer one gradient vanishes and the cell
