@@ -35,21 +35,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: _Parser, with_variant: bool = True):
+def _add_common(p: _Parser, one_problem: bool = True):
     """The experiment flags, and ``p.config_keys``: the keys a config file
-    may set, each the dest of one of them, mapped to its flag."""
-    flags = [p.add_argument("--problem", choices=sorted(PROBLEMS), help="benchmark problem")]
-    if with_variant:
-        flags.append(p.add_argument(
-            "--direction",
-            choices=[d.value for d in DirectionVariant],
-            help="direction subproblem variant",
-        ))
-        flags.append(p.add_argument(
-            "--backtracking",
-            choices=[b.value for b in BacktrackVariant],
-            help="line-search strategy",
-        ))
+    may set, each the dest of one of them, mapped to its flag.  Without
+    ``one_problem`` the flags that choose the problem and the variant are
+    left out."""
+    flags = []
+    if one_problem:
+        flags += [
+            p.add_argument("--problem", choices=sorted(PROBLEMS), help="benchmark problem"),
+            p.add_argument("--direction", choices=[d.value for d in DirectionVariant],
+                           help="direction subproblem variant"),
+            p.add_argument("--backtracking", choices=[b.value for b in BacktrackVariant],
+                           help="line-search strategy"),
+        ]
     flags += [
         p.add_argument("--n-starts", type=int, help="number of start points"),
         p.add_argument("--seed", type=int, help="RNG seed (fallback: MGD_SEED)"),
@@ -83,7 +82,7 @@ def build_parser() -> _Parser:
 
     _add_common(sub.add_parser("run", help="one problem, chosen variants"))
     _add_common(sub.add_parser("table1", help="all problems, all four variants"),
-                with_variant=False)
+                one_problem=False)
 
     scan = sub.add_parser("scan", help="grid scan for near-cancelling gradient pairs")
     scan.add_argument("--problem", choices=sorted(PROBLEMS), required=True)

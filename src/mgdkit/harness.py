@@ -9,7 +9,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 from typing import Optional
 
@@ -55,6 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.max_iters is not None and self.max_iters < 1:
@@ -205,9 +207,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Failed runs contribute no points and are counted in the report.  With
     an output directory configured, the report, the fronts (and traces, if
-    requested) are written there.  With ``config.workers > 1`` and no
-    traces, every variant runs in one shared worker pool, which is
-    replaced after a variant whose worker died.
+    requested) are written there; traces are recorded only then.  With
+    ``config.workers > 1`` and no traces to record, every variant runs in
+    one shared worker pool, which is replaced after a variant whose worker
+    died.
     """
     problem = get_problem(config.problem)
     starts = sample_starts(
@@ -217,7 +220,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t_total = time.perf_counter()
     variants = []
     all_results = {}
-    pooled = config.workers > 1 and not config.emit_traces
+    traced = config.emit_traces and bool(config.out_dir)
+    pooled = config.workers > 1 and not traced
     pool = ProcessPoolExecutor(max_workers=config.workers) if pooled else None
     try:
         for backtracking in config.backtrackings:
@@ -225,7 +229,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 t0 = time.perf_counter()
                 results, failures = run_variant(
                     config, direction, backtracking, starts,
-                    record_trace=config.emit_traces, pool=pool,
+                    record_trace=traced, pool=pool,
                 )
                 if pool is not None and any(f.cause == "BrokenProcessPool" for f in failures):
                     # A dead worker breaks the pool for good.
@@ -284,9 +288,9 @@ FLOAT_FORMAT = "%.17g"
 
 
 def _json_text(obj, indent: int = 0) -> str:
-    """JSON with floats rendered at 17 significant digits.  A list of plain
-    ints, of plain floats, or of equal-length rows of plain ints is rendered
-    in one string operation; any other list item by item."""
+    """JSON with floats rendered at 17 significant digits.  A list of
+    equal-length rows of plain ints is rendered in one string operation;
+    any other list item by item."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -300,16 +304,9 @@ def _json_text(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         inner = pad + "  "
-        sep = ",\n" + inner
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            body = sep.join(map(str, obj))
-        elif kinds == {float}:
-            body = sep.join([FLOAT_FORMAT] * len(obj)) % tuple(obj)
-        else:
-            body = _int_table(obj, kinds, inner)
-            if body is None:
-                body = sep.join([_json_text(v, indent + 1) for v in obj])
+        body = _int_table(obj, inner)
+        if body is None:
+            body = (",\n" + inner).join([_json_text(v, indent + 1) for v in obj])
         return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
@@ -320,11 +317,11 @@ def _json_text(obj, indent: int = 0) -> str:
     return _json_str(str(obj))
 
 
-def _int_table(rows, kinds: set, inner: str) -> Optional[str]:
+def _int_table(rows, inner: str) -> Optional[str]:
     """The items of a JSON list, indented by ``inner``, when they are rows of
     plain ints all of one length (such as ``np.argwhere(...).tolist()``),
     through one ``%`` template; None for any other list."""
-    if not kinds <= {list, tuple} or len(set(map(len, rows))) != 1:
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
         return None
     flat = tuple(chain.from_iterable(rows))
     if set(map(type, flat)) != {int}:
@@ -412,30 +409,32 @@ def emit_traces(
         run_results.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
         label = variant_label(direction, backtracking)
-        _write(f"front_{label}.{fmt}", _table_text(_front_rows(X, F), fmt))
+        front, trace = _columns(X.shape[1], F.shape[1])
+        _write(f"front_{label}.{fmt}", _table_text(front, np.hstack([X, F]).tolist(), fmt))
         if include_traces:
             for j, result in enumerate(results):
                 if result is None or not result.trace:
                     continue
-                _write(f"trace_{label}_{j:05d}.{fmt}", _table_text(_trace_rows(result), fmt))
+                _write(f"trace_{label}_{j:05d}.{fmt}",
+                       _table_text(trace, _trace_rows(result), fmt))
     return written
 
 
-def _front_rows(X: np.ndarray, F: np.ndarray) -> list:
-    return [{"x": x, "f": f} for x, f in zip(X.tolist(), F.tolist())]
+def _columns(n: int, m: int) -> tuple[tuple, tuple]:
+    """The columns of a front table and of a trace table, for points of n
+    variables and m objectives: (key, width) pairs in file order, width
+    None for a scalar cell, else the number of cells its list spreads over."""
+    front = (("x", n), ("f", m))
+    return front, (("k", None), *front, ("eta", None), ("beta_star", None),
+                   ("armijo_satisfied", None), ("critical_case", None))
 
 
 def _trace_rows(result: RunResult) -> list:
+    """A run's trace table: one flat tuple of cells per iteration, each
+    cell cast to its column's type, so every row has the same cell types."""
     return [
-        {
-            "k": rec.k,
-            "x": rec.x.tolist(),
-            "f": rec.f.tolist(),
-            "eta": rec.eta,
-            "beta_star": rec.beta_star,
-            "armijo_satisfied": bool(rec.armijo_satisfied),
-            "critical_case": rec.critical_case.value,
-        }
+        (int(rec.k), *rec.x.tolist(), *rec.f.tolist(), float(rec.eta),
+         float(rec.beta_star), bool(rec.armijo_satisfied), rec.critical_case.value)
         for rec in result.trace
     ]
 
@@ -450,37 +449,36 @@ def _cell(value) -> str:
     return _cell_format(type(value)) % (value,)
 
 
-def _spread(row: dict) -> list:
-    """A row's CSV cells: its values, each list spread over its entries."""
-    cells = []
-    for v in row.values():
-        if isinstance(v, list):
-            cells += v
-        else:
-            cells.append(v)
-    return cells
+# The JSON text of a bool or str cell, which a JSON table writes through %s.
+_JSON_CELL = {bool: json.dumps, str: _json_str}
 
 
-def _table_text(rows: list, fmt: str) -> str:
-    """Rows of dicts, keys in column order, as JSON or as CSV: there a list
-    value spreads over one column per entry, named by its key and index
-    (``x0``, ``x1``, ...), a float has 17 significant digits, a bool is 0/1.
-    Each CSV row is written through one ``%`` template, built once per
-    tuple of cell types."""
-    if fmt == "json":
-        return _json_text(rows) + "\n"
+def _table_text(columns: tuple, rows: list, fmt: str) -> str:
+    """A table as CSV or JSON, through one ``%`` template of one row built
+    from ``columns``, its (key, width) pairs, and the cell types of the
+    first of ``rows``, flat tuples of cells that all share them.
+
+    In CSV a header names the columns, a list column by its key and index
+    (``x0``, ``x1``, ...); a float has 17 significant digits, a bool is
+    0/1.  In JSON each row is an object, a list column a list.
+    """
     if not rows:
-        return ""
-    header = []
-    for k, v in rows[0].items():
-        header += [f"{k}{i}" for i in range(len(v))] if isinstance(v, list) else [k]
-    templates = {}
-    lines = [",".join(header)]
-    for row in rows:
-        cells = tuple(_spread(row))
-        kinds = tuple(map(type, cells))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_cell_format, kinds))
-        lines.append(template % cells)
-    return "\n".join(lines) + "\n"
+        return "[]\n" if fmt == "json" else ""
+    width = len(rows[0])
+    cells = list(chain.from_iterable(rows))
+    if fmt != "json":
+        header = ",".join(key if n is None else ",".join(f"{key}{i}" for i in range(n))
+                          for key, n in columns)
+        row = ",".join([_cell_format(type(cell)) for cell in cells[:width]])
+        return header + "\n" + "\n".join([row] * len(rows)) % tuple(cells) + "\n"
+    for i, kind in enumerate(map(type, rows[0])):
+        if kind in _JSON_CELL:
+            cells[i::width] = map(_JSON_CELL[kind], cells[i::width])
+    formats = iter([_cell_format(type(cell)) for cell in cells[:width]])
+    fields = []
+    for key, n in columns:
+        value = next(formats) if n is None else (
+            "[\n      " + ",\n      ".join(islice(formats, n)) + "\n    ]")
+        fields.append(f"    {_json_str(key)}: {value}")
+    row = "{\n" + ",\n".join(fields) + "\n  }"
+    return "[\n  " + ",\n  ".join([row] * len(rows)) % tuple(cells) + "\n]\n"

@@ -7,7 +7,8 @@ Jacobians by central differences, lp-new's normalized rows, the
 direction LPs and their classification on plain lists, the
 critical-region scan cell by cell, the descent one start at a time,
 non-dominance pair by pair, a variant's Pareto ratio and front in two
-stages, and the output files' JSON and CSV text one value at a time.
+stages, and the output files' JSON and CSV text one value at a time, from
+front and trace rows as dicts.
 """
 
 import json
@@ -474,9 +475,31 @@ def _cell_oracle(value) -> str:
     return str(value)
 
 
+def front_rows_oracle(X: np.ndarray, F: np.ndarray) -> list:
+    """A front table's rows as dicts, one per point: its ``x`` and ``f``."""
+    return [{"x": x, "f": f} for x, f in zip(X.tolist(), F.tolist())]
+
+
+def trace_rows_oracle(result: RunResult) -> list:
+    """A trace table's rows as dicts, one per iteration, keys in column order."""
+    return [
+        {
+            "k": rec.k,
+            "x": rec.x.tolist(),
+            "f": rec.f.tolist(),
+            "eta": rec.eta,
+            "beta_star": rec.beta_star,
+            "armijo_satisfied": bool(rec.armijo_satisfied),
+            "critical_case": rec.critical_case.value,
+        }
+        for rec in result.trace
+    ]
+
+
 def table_text_oracle(rows: list, fmt: str) -> str:
-    """The text of ``harness._table_text``, one call per cell: in CSV a list
-    value spreads over one column per entry, headed by its key and index."""
+    """The text of ``harness._table_text`` from rows of dicts with keys in
+    column order, one call per cell: in CSV a list value spreads over one
+    column per entry, headed by its key and index."""
     if fmt == "json":
         return json_text_oracle(rows) + "\n"
     if not rows:

@@ -37,6 +37,7 @@ from mgdkit.harness import (
 )
 from oracles import ratio_and_front_oracle, run_mgd_oracle
 from test_descent import assert_same_run
+from test_golden import _blank_wall_times
 
 
 def _dying_chunk(args):
@@ -319,6 +320,19 @@ class TestRunExperiment:
         assert sum(v.failures for v in report.variants) == 0
         assert len(built) == 1
 
+    def test_traces_without_out_dir_use_the_pool(self, monkeypatch, capsys):
+        # No trace is written without --out, so none is recorded and the
+        # runs go to the pool; the report is that of a run without --traces.
+        built = self._count_pools(monkeypatch)
+        argv = ["run", "--problem", "kursawe", "--n-starts", "20", "--max-iters", "50",
+                "--workers", "2"]
+        reports = []
+        for flags in ([], ["--traces"]):
+            assert main([*argv, *flags]) == EXIT_OK
+            reports.append(_blank_wall_times(capsys.readouterr().out.encode()))
+        assert len(built) == 2
+        assert reports[1] == reports[0]
+
     def test_broken_pool_is_replaced(self, monkeypatch, tmp_path):
         # The first variant's jobs die and break the shared pool: its runs
         # fail with that cause, and the later variants run in a new pool.
@@ -487,6 +501,27 @@ class TestPersistence:
         for path in paths:
             json.loads(path.read_text(), parse_constant=reject)
 
+    def test_table_rows_keep_first_row_types(self, tmp_path, monkeypatch, capsys):
+        # Every front and trace table is written through one template of its
+        # first row, so each of its rows must have that row's cell types.
+        tables = []
+        write = harness_mod._table_text
+
+        def record(columns, rows, fmt):
+            tables.append((columns, rows))
+            return write(columns, rows, fmt)
+
+        monkeypatch.setattr(harness_mod, "_table_text", record)
+        assert main(["table1", "--n-starts", "3", "--max-iters", "40", "--seed", "42",
+                     "--workers", "0", "--traces", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(tables) == 3 * (4 + 12)
+        for columns, rows in tables:
+            assert rows
+            width = sum(1 if n is None else n for _, n in columns)
+            kinds = tuple(map(type, rows[0]))
+            assert len(kinds) == width
+            assert all(tuple(map(type, row)) == kinds for row in rows)
+
     def test_report_text_contains_table(self):
         report = run_experiment(_small_config())
         text = report_to_text(report)
@@ -587,12 +622,19 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_table1_file_names_no_variant(self, tmp_path, capsys):
-        # table1 always runs all four variants and has no variant flags, so
-        # its config file takes no variant key.
+        # table1 always runs all three problems and all four variants and has
+        # no problem or variant flags, so its config file takes no such key.
         path = tmp_path / "t1.cfg"
-        path.write_text("n_starts = 2\ndirection = lp-new\n")
-        assert main(["table1", "--config", str(path)]) == EXIT_USAGE
-        assert "t1.cfg:2: unknown key 'direction'" in capsys.readouterr().err
+        for line, flags, message in [
+            ("direction = lp-new", [], "t1.cfg:2: unknown key 'direction'"),
+            ("problem = viennet", [], "t1.cfg:2: unknown key 'problem'"),
+            ("max_iters = 2", ["--problem", "viennet"],
+             "unrecognized arguments: --problem viennet"),
+        ]:
+            path.write_text(f"n_starts = 2\n{line}\n")
+            argv = ["table1", "--config", str(path), "--workers", "0", *flags]
+            assert main(argv) == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
 
 class TestCli:
@@ -737,6 +779,19 @@ class TestCli:
         assert main(
             ["run", "--problem", "fonseca-fleming", "--n-starts", "2"]
         ) == EXIT_USAGE
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # From a flag, MGD_SEED or a config line, before any run starts.
+        argv = ["run", "--problem", "fonseca-fleming", "--n-starts", "2", "--workers", "1"]
+        assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: seed must be >= 0\n"
+        monkeypatch.setenv("MGD_SEED", "-1")
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: seed must be >= 0\n"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem = fonseca-fleming\nseed = -1\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {cfg}:2: seed must be >= 0\n"
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

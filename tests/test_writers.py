@@ -1,21 +1,26 @@
 """The output writers against the reference writers, byte for byte.
 
-``harness._json_text`` renders a list of plain ints, of plain floats or of
-equal-length int rows in one string operation, and ``harness._table_text``
-writes each CSV row through one ``%`` template, built once per tuple of
-cell types.  ``oracles.json_text_oracle`` and
-``oracles.table_text_oracle`` render every value on its own.  Both must
-give the same text for any payload: nested and empty containers, bools
-among ints, numpy scalars, signed zeros, infinities, nan, subnormals,
-strings that need escaping, and tables whose rows change kind or length.
+``harness._json_text`` renders a list of equal-length int rows in one
+string operation, and ``harness._table_text`` writes a front or trace
+table, CSV or JSON, through one ``%`` template of one row, built once per
+table.  ``oracles.json_text_oracle`` and ``oracles.table_text_oracle``
+render every value on its own, the latter from the tables' rows as dicts
+(``oracles.front_rows_oracle``, ``oracles.trace_rows_oracle``).  Both must
+give the same text: ``_json_text`` for any payload (nested and empty
+containers, bools among ints, numpy scalars, signed zeros, infinities,
+nan, subnormals, strings that need escaping), ``_table_text`` for fronts
+and traces of any size, empty ones included, with such floats, ints of
+any size and every criticality case.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgdkit.harness import _json_text, _table_text
-from oracles import json_text_oracle, table_text_oracle
+from mgdkit import CriticalityCase, RunResult, Termination
+from mgdkit.descent import TraceRecord
+from mgdkit.harness import _columns, _json_text, _table_text, _trace_rows
+from oracles import front_rows_oracle, json_text_oracle, table_text_oracle, trace_rows_oracle
 
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -70,22 +75,32 @@ PAYLOADS = st.recursive(
 
 @st.composite
 def tables(draw):
-    """Rows of dicts with one set of keys.  Each column has a kind, a scalar
-    or a list of one length; now and then a row's cell takes another."""
-    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5, unique=True))
-    kind = st.tuples(st.sampled_from(sorted(KINDS)), st.none() | st.integers(0, 3))
-    columns = {k: draw(kind) for k in keys}
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        row = {}
-        for k in keys:
-            name, length = columns[k] if draw(st.integers(0, 5)) else draw(kind)
-            if length is None:
-                row[k] = draw(KINDS[name])
-            else:
-                row[k] = draw(st.lists(KINDS[name], min_size=length, max_size=length))
-        rows.append(row)
-    return rows
+    """A front or a trace table as the program writes it, (columns, rows),
+    and its rows as dicts for the reference: k points of n variables and
+    m objectives, k = 0 included."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    X = np.array(draw(st.lists(FLOATS, min_size=k * n, max_size=k * n))).reshape(k, n)
+    F = np.array(draw(st.lists(FLOATS, min_size=k * m, max_size=k * m))).reshape(k, m)
+    front, trace = _columns(n, m)
+    if draw(st.booleans()):
+        return front, np.hstack([X, F]).tolist(), front_rows_oracle(X, F)
+    records = [
+        TraceRecord(
+            k=draw(INTS | KINDS["np.int64"]),
+            x=x,
+            f=f,
+            p_star=x,
+            beta_star=draw(FLOATS | KINDS["np.float64"]),
+            eta=draw(FLOATS | KINDS["np.float64"]),
+            armijo_satisfied=draw(st.booleans() | KINDS["np.bool_"]),
+            critical_case=draw(st.sampled_from(CriticalityCase)),
+        )
+        for x, f in zip(X, F)
+    ]
+    result = RunResult(trace=records, x_hat=np.zeros(n), f_hat=np.zeros(m),
+                       stored_x=np.empty((0, n)), stored_f=np.empty((0, m)),
+                       termination=Termination.MAX_ITERS, iterations=k)
+    return trace, _trace_rows(result), trace_rows_oracle(result)
 
 
 @settings(max_examples=400, deadline=None)
@@ -96,8 +111,9 @@ def test_json_text_matches_reference(payload, indent):
 
 @settings(max_examples=400, deadline=None)
 @given(tables(), st.sampled_from(["csv", "json"]))
-def test_table_text_matches_reference(rows, fmt):
-    assert _table_text(rows, fmt) == table_text_oracle(rows, fmt)
+def test_table_text_matches_reference(table, fmt):
+    columns, rows, dict_rows = table
+    assert _table_text(columns, rows, fmt) == table_text_oracle(dict_rows, fmt)
 
 
 def test_mask_table_matches_reference():
