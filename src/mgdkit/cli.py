@@ -1,4 +1,4 @@
-"""Command-line interface: experiments, table reproduction, scans, fronts."""
+"""Command-line interface: experiments, table reproduction, scans."""
 
 from __future__ import annotations
 
@@ -91,7 +91,6 @@ def build_parser() -> _Parser:
     scan.add_argument("--resolution", help="per-axis cells, e.g. 256 or 64,64,64")
     scan.add_argument("--out", help="output directory")
 
-    _add_common(sub.add_parser("fronts", help="emit non-dominated front data"))
     parser.commands = sub.choices  # command name -> its parser
     return parser
 
@@ -152,12 +151,10 @@ def _config_values(args) -> dict:
     return values
 
 
-def _build_config(args, need_out: bool = False) -> ExperimentConfig:
+def _build_config(args) -> ExperimentConfig:
     values = _config_values(args)
     if "problem" not in values:
         raise UsageError("a problem must be given (--problem or config file)")
-    if need_out and "out_dir" not in values:
-        raise UsageError("an output directory must be given (--out)")
 
     values["seed"] = _resolve_seed(args.seed)
     workers = values.get("workers", os.cpu_count() or 1)
@@ -244,18 +241,10 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fronts(args) -> int:
-    config = _build_config(args, need_out=True)
-    run_experiment(config)
-    sys.stdout.write(f"fronts written to {config.out_dir}\n")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "table1": _cmd_table1,
     "scan": _cmd_scan,
-    "fronts": _cmd_fronts,
 }
 
 

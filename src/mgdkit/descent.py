@@ -222,6 +222,11 @@ def run_mgd_batch(
     point without affecting the others, and every run follows exactly the
     iterates it would follow alone.
 
+    Each iteration logs the points it stores, and its trace rows, as one
+    block of arrays for all runs.  After the loop each log is split by
+    run once, and every run's stored points are pruned to those that no
+    stored point and not its final point dominates.
+
     Returns one entry per start: its :class:`RunResult`, or the exception
     that ended it, with the message prefixed by the iteration
     ("iteration k: ...").
@@ -233,47 +238,26 @@ def run_mgd_batch(
     bt_new = params.variant is BacktrackVariant.BT_NEW
     paper = params.paper_semantics
     X0 = np.asarray(X0, dtype=float)
-    out: list[RunResult | Exception] = [None] * len(X0)
-    traces: list = [[] for _ in out]
-    stored: list = [([], []) for _ in out]
+    # Run j's exception, or its (x_hat, f_hat, termination, iterations)
+    # until its RunResult is built after the loop.
+    out: list = [None] * len(X0)
+    # Blocks of (runs, X, F) of the stored points and of
+    # (runs, k, X, F, P, beta, eta, satisfied, cases) of the traced rows.
+    stored_log, trace_log = [], []
 
-    def record(k, j, x, f, p, beta_star, case, eta, satisfied):
+    def log_trace(k, runs, X, F, P, beta, eta, satisfied, cases):
         if record_trace:
-            traces[j].append(
-                TraceRecord(
-                    k=k,
-                    x=x,
-                    f=f,
-                    p_star=p,
-                    beta_star=beta_star,
-                    eta=eta,
-                    armijo_satisfied=satisfied,
-                    critical_case=case,
-                )
-            )
-
-    # Runs that store nothing share one pair of empty arrays, so a pool job
-    # pickles it once.
-    nothing = np.empty((0, problem.n)), np.empty((0, problem.m))
-
-    def finish(j, x, f, termination, iterations):
-        stored_x, stored_f = _prune_stored(*stored[j], f) if stored[j][1] else nothing
-        out[j] = RunResult(
-            trace=traces[j],
-            x_hat=x,
-            f_hat=f,
-            stored_x=stored_x,
-            stored_f=stored_f,
-            termination=termination,
-            iterations=iterations,
-        )
+            w = runs.size
+            eta, satisfied = np.broadcast_to(eta, w), np.broadcast_to(satisfied, w)
+            trace_log.append((runs, np.full(w, k), X, F, P, beta, eta, satisfied, cases))
 
     def stop(k, mask, X, F, P, beta, cases, satisfied, termination):
         # The runs where mask holds end at their current iterate, and
         # iteration k is recorded as a zero step.
-        for i in np.flatnonzero(mask):
-            record(k, live[i], X[i], F[i], P[i], float(beta[i]), cases[i], 0.0, satisfied)
-            finish(live[i], X[i], F[i], termination, k)
+        runs, X, F, P, beta, cases = _rows(mask, live, X, F, P, beta, cases)
+        log_trace(k, runs, X, F, P, beta, 0.0, satisfied, cases)
+        for j, x, f in zip(runs.tolist(), X, F):
+            out[j] = x, f, termination, k
 
     def drop_failed(k, errors):
         # The runs of rows in errors fail; returns the mask of the others.
@@ -284,7 +268,7 @@ def run_mgd_batch(
         return keep
 
     # X, F and J are never written once made: each iteration makes new
-    # ones, so the rows handed out as trace and final points stay valid.
+    # ones, so the rows logged and handed out as final points stay valid.
     live = np.arange(len(X0))
     F, J, errors = _evaluate_rows(problem, X0)
     X = X0
@@ -294,7 +278,7 @@ def run_mgd_batch(
     for k in range(K):
         if not live.size:
             break
-        P, beta, cases, errors = _solve_batch(J, dir_cfg.variant, dir_cfg.epsilon)
+        (P, beta, cases, errors), _ = _solve_batch(J, dir_cfg.variant, dir_cfg.epsilon)
         if errors:
             live, X, F, J, P, beta, cases = _rows(
                 drop_failed(k, errors), live, X, F, J, P, beta, cases
@@ -349,15 +333,10 @@ def run_mgd_batch(
             )
 
         if bt_new:
-            # Copies of just the stored rows, so a stored point does not
-            # keep the whole iteration's arrays alive.
-            idx = np.flatnonzero(~_dominates_rows(F_new, F))
-            for j, x, f in zip(live[idx], X[idx], F[idx]):
-                stored[j][0].append(x)
-                stored[j][1].append(f)
-        if record_trace:
-            for i, (b, e, s) in enumerate(zip(beta.tolist(), eta.tolist(), sat.tolist())):
-                record(k, live[i], X[i], F[i], P[i], b, cases[i], e, s)
+            # The points their successor does not dominate, copied so that
+            # the log does not keep the whole iteration's arrays alive.
+            stored_log.append(_rows(~_dominates_rows(F_new, F), live, X, F))
+        log_trace(k, live, X, F, P, beta, eta, sat, cases)
         X, F, J = X_new, F_new, J_new
         if not paper:
             # A fallback step of zero was accepted: the sequence is constant
@@ -365,12 +344,47 @@ def run_mgd_batch(
             still = eta != 0.0
             if not still.all():
                 for i in np.flatnonzero(~still):
-                    finish(live[i], X[i], F[i], Termination.ZERO_DIRECTION, k)
+                    out[live[i]] = X[i], F[i], Termination.ZERO_DIRECTION, k
                 live, X, F, J = _rows(still, live, X, F, J)
 
-    for i, j in enumerate(live):
-        finish(j, X[i], F[i], Termination.MAX_ITERS, K)
+    for j, x, f in zip(live.tolist(), X, F):
+        out[j] = x, f, Termination.MAX_ITERS, K
+
+    stored, stored_rows = _by_run(stored_log, len(out))
+    traced, trace_rows = _by_run(trace_log, len(out))
+    # One TraceRecord per traced row.  The log's columns are its fields in
+    # order; the scalar ones go in as Python ints, floats, bools and cases.
+    columns = [c.tolist() if c.ndim == 1 else c for c in traced]
+    records = [TraceRecord(*fields) for fields in zip(*columns)]
+    # Runs that store nothing share one pair of empty arrays, so a pool job
+    # pickles it once.
+    nothing = np.empty((0, problem.n)), np.empty((0, problem.m))
+    for j, end in enumerate(out):
+        if isinstance(end, Exception):
+            continue
+        x_hat, f_hat, termination, iterations = end
+        stored_x, stored_f = nothing
+        rows = stored_rows[j]
+        if rows.size:
+            # The stored points that no stored point and not the final one
+            # dominates, in the order stored.
+            SX, SF = stored
+            keep = rows[nondominated_mask(np.vstack([SF[rows], f_hat]))[:-1]]
+            stored_x, stored_f = SX[keep], SF[keep]
+        trace = [records[i] for i in trace_rows[j].tolist()]
+        out[j] = RunResult(trace, x_hat, f_hat, stored_x, stored_f, termination, iterations)
     return out
+
+
+def _by_run(log: list, n_runs: int) -> tuple[list, list]:
+    """The columns of a log of (runs, *columns) blocks, each concatenated
+    once, and the indices of each run's rows in them, in the order logged."""
+    if not log:
+        return [], [np.empty(0, dtype=int)] * n_runs
+    runs, *columns = map(np.concatenate, zip(*log))
+    order = np.argsort(runs, kind="stable")
+    starts = np.searchsorted(runs, np.arange(1, n_runs), sorter=order)  # of runs 1, 2, ...
+    return columns, np.split(order, starts)
 
 
 def run_mgd(
@@ -390,15 +404,6 @@ def run_mgd(
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def _prune_stored(
-    stored_x: list[np.ndarray], stored_f: list[np.ndarray], f_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stored points not dominated by any stored point or the final one,
-    as (k, n) and (k, m) arrays in the order stored."""
-    keep = np.flatnonzero(nondominated_mask(np.vstack([*stored_f, f_hat]))[:-1])
-    return np.array(stored_x)[keep], np.array(stored_f)[keep]
 
 
 def classify_subsequences(trace: list[TraceRecord]) -> list[tuple[SegmentKind, int, int]]:

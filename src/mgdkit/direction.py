@@ -206,15 +206,17 @@ def _solve_batch(
     J: np.ndarray,
     variant: DirectionVariant = DirectionVariant.LP_NEW,
     epsilon: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, dict], Optional[tuple]]:
     """The direction step of one descent iteration: the direction LP of
     each Jacobian of ``J`` (W, m, n), solved and classified.
 
-    Returns (P (W, n), beta (W,), cases (W,), errors): row w holds the
-    p*, beta* and CriticalityCase of J[w], unless errors maps w to the
+    Returns ((P (W, n), beta (W,), cases (W,), errors), lps): row w holds
+    the p*, beta* and CriticalityCase of J[w], unless errors maps w to the
     exception its step raised: a ValueError for a Jacobian with a
     non-finite entry or without rows or columns, a SolverFailure for an
-    LP without an optimum.
+    LP without an optimum.  ``lps`` is (keep, gamma, c_beta) of
+    ``_prepare``, the rows kept, box and beta weight of each LP, or None
+    when the Jacobians have no entries.
 
     ``_prepare`` states the LPs, all of one shape, and one ``_simplex``
     call solves them, so the width picks only the simplex.  An lp-new
@@ -228,7 +230,7 @@ def _solve_batch(
     if m == 0 or n == 0:
         for w in range(W):
             errors[w] = ValueError(f"a Jacobian of shape {(m, n)} has no entries")
-        return P, beta, cases, errors
+        return (P, beta, cases, errors), None
     lp_new = variant is DirectionVariant.LP_NEW
     with np.errstate(all="ignore"):
         g, keep, gamma, c_beta, G, c_p = _prepare(J, variant, epsilon)
@@ -265,7 +267,7 @@ def _solve_batch(
                     cases[w] = _classify_critical(g[w], G[k], gamma[w], P[w], min_gp)
                 except SolverFailure as exc:
                     errors[w], cases[w] = exc, None
-    return P, beta, cases, errors
+    return (P, beta, cases, errors), (keep, gamma, c_beta)
 
 
 def solve_direction(
@@ -277,11 +279,10 @@ def solve_direction(
     the outcome: the one-row case of :func:`_solve_batch`, whose error it
     raises."""
     J = np.asarray(jac, dtype=float)[None]
-    (p,), (beta,), (case,), errors = _solve_batch(J, variant, epsilon)
+    ((p,), (beta,), (case,), errors), lps = _solve_batch(J, variant, epsilon)
     if errors:
         raise errors[0]
-    with np.errstate(all="ignore"):
-        _, keep, gamma, c_beta, _, _ = _prepare(J, variant, epsilon)
+    keep, gamma, c_beta = lps
     return DirectionResult(
         p_star=p,
         beta_star=float(beta),

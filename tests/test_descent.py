@@ -340,19 +340,24 @@ class TestRunMgd:
 
 
 def assert_same_run(got, expected):
-    """Every RunResult field, each TraceRecord included, exactly equal."""
+    """Every RunResult field, each TraceRecord included, exactly equal: the
+    arrays byte for byte (so -0.0 is not 0.0 and no dtype changes), the
+    scalars of the same Python types."""
     assert got.termination is expected.termination
     assert got.iterations == expected.iterations
-    assert np.array_equal(got.x_hat, expected.x_hat)
-    assert np.array_equal(got.f_hat, expected.f_hat)
-    assert got.stored_x.shape == expected.stored_x.shape
-    assert np.array_equal(got.stored_x, expected.stored_x)
-    assert got.stored_f.shape == expected.stored_f.shape
-    assert np.array_equal(got.stored_f, expected.stored_f)
+    for name in ("x_hat", "f_hat", "stored_x", "stored_f"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert len(got.trace) == len(expected.trace)
     for a, b in zip(got.trace, expected.trace):
-        for name in TraceRecord.__dataclass_fields__:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert type(a.k) is int and type(a.beta_star) is float and type(a.eta) is float
+        assert type(a.armijo_satisfied) is bool
+        assert isinstance(a.critical_case, CriticalityCase)
+        for name in ("x", "f", "p_star"):
+            u, v = getattr(a, name), getattr(b, name)
+            assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), name
+        for name in ("k", "beta_star", "eta", "armijo_satisfied", "critical_case"):
+            assert getattr(a, name) == getattr(b, name), name
 
 
 class TestLockstep:
@@ -409,6 +414,17 @@ class TestLockstep:
                 assert all(type(rec.beta_star) is float for rec in run.trace)
                 assert_same_run(run, run_mgd_oracle(prob, x0, params, cfg, K=12))
         assert min(all_widths) < _BATCH_MIN_WIDTH <= max(all_widths)
+
+    def test_runs_storing_nothing_share_one_empty_pair(self):
+        # A pool job pickles the shared pair once, not once per run.
+        prob = get_problem("kursawe")
+        starts = sample_starts(StartSampler(prob.domain_box, 6, 2))
+        params = BacktrackParams(variant=BacktrackVariant.BT_BASE)
+        runs = run_mgd_batch(prob, starts, params, LP_NEW, K=20)
+        assert len({id(run.stored_x) for run in runs}) == 1
+        assert len({id(run.stored_f) for run in runs}) == 1
+        assert runs[0].stored_x.shape == (0, prob.n)
+        assert runs[0].stored_f.shape == (0, prob.m)
 
     def test_no_starts(self):
         prob = get_problem("kursawe")

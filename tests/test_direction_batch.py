@@ -83,7 +83,7 @@ def assert_same_result(result, expected):
 def check_batch(J, variant, rows=None):
     """Every row of the batch against the oracle, and solve_direction
     against it on ``rows`` (default: all); the failures seen."""
-    solved = _solve_batch(J, variant)
+    solved, _ = _solve_batch(J, variant)
     P, beta, cases, errors = solved
     assert P.shape == (len(J), J.shape[2]) and beta.shape == cases.shape == (len(J),)
     failures = []
@@ -137,7 +137,7 @@ class TestBatchedEqualsScalar:
         expected = solve_direction_oracle(jac, DirectionVariant.LP_NEW)
         assert expected.gamma == 1.0
         assert_same_result(solve_direction(jac, DirectionVariant.LP_NEW), expected)
-        solved = _solve_batch(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW)
+        solved, _ = _solve_batch(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW)
         for w in range(_BATCH_MIN_WIDTH):
             assert_same(solved, w, expected)
 
@@ -150,7 +150,7 @@ class TestBatchedEqualsScalar:
         J[2] = [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]
         J[3] = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         for variant in DirectionVariant:
-            solved = _solve_batch(J, variant)
+            solved, _ = _solve_batch(J, variant)
             errors = solved[3]
             assert list(errors) == [2] and type(errors[2]) is ValueError
             for w, jac in enumerate(J):
@@ -176,11 +176,29 @@ class TestBatchedEqualsScalar:
         with pytest.raises(ValueError, match="Jacobian"):
             solve_direction(jac, variant)
         J = np.stack([jac, np.full_like(jac, 2.0), jac])
-        P, beta, cases, errors = _solve_batch(J, variant)
+        (P, beta, cases, errors), _ = _solve_batch(J, variant)
         assert sorted(errors) == ([0, 1, 2] if jac.size == 0 else [0, 2])
         assert all(type(exc) is ValueError for exc in errors.values())
         if jac.size:
             assert_same((P, beta, cases, errors), 1, solve_direction_oracle(J[1], variant))
+
+    @pytest.mark.parametrize("variant", list(DirectionVariant))
+    def test_solve_direction_prepares_once(self, variant, monkeypatch):
+        # gamma, c_beta and the dropped rows come from the LP's own
+        # _prepare call, not from a second one.
+        calls = []
+        prepare = direction_mod._prepare
+
+        def spy(J, *args):
+            calls.append(len(J))
+            return prepare(J, *args)
+
+        monkeypatch.setattr(direction_mod, "_prepare", spy)
+        for jac in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]):
+            calls.clear()
+            jac = np.array(jac)
+            assert_same_result(solve_direction(jac, variant), solve_direction_oracle(jac, variant))
+            assert calls == [1]
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize(

@@ -659,6 +659,13 @@ class TestCli:
         assert main(["run"]) == EXIT_USAGE
         assert main(["run", "--problem", "nope"]) == EXIT_USAGE
 
+    def test_fronts_command_is_gone(self, tmp_path, capsys):
+        # `run --out` writes the fronts; there is no separate command.
+        argv = ["fronts", "--problem", "kursawe", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "invalid choice: 'fronts'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_max_iters_is_usage_error(self, capsys, value):
         argv = ["run", "--problem", "fonseca-fleming", "--n-starts", "2",
