@@ -17,11 +17,9 @@ from .descent import (
     BacktrackParams,
     BacktrackVariant,
     RunResult,
-    SegmentKind,
     Termination,
     TraceRecord,
     backtrack,
-    classify_subsequences,
     run_mgd,
     run_mgd_batch,
 )
@@ -82,14 +80,12 @@ __all__ = [
     "PROBLEMS",
     "Problem",
     "RunResult",
-    "SegmentKind",
     "SolverFailure",
     "StartSampler",
     "Termination",
     "TraceRecord",
     "VariantResult",
     "backtrack",
-    "classify_subsequences",
     "critical_region_scan",
     "dominates",
     "emit_traces",

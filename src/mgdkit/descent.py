@@ -13,6 +13,7 @@ optimals and pruned to an antichain at the end.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -60,7 +61,11 @@ class BacktrackParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not (self.eta0 > 0 and math.isfinite(self.eta0)):
             raise ValueError("eta0 must be positive and finite")
-        if self.theta < 1:
+        try:
+            theta_ok = operator.index(self.theta) >= 1
+        except TypeError:
+            theta_ok = False
+        if not theta_ok:
             raise ValueError("theta must be a positive integer")
         if self.eta_hat is not None and not (self.eta_hat >= 0 and math.isfinite(self.eta_hat)):
             raise ValueError("eta_hat must be >= 0 and finite")
@@ -96,12 +101,6 @@ class RunResult:
     stored_f: np.ndarray  # (k, m) their objectives
     termination: Termination
     iterations: int
-
-
-class SegmentKind(Enum):
-    PC_ETA_HAT = "pc-eta-hat"
-    PC_0 = "pc-0"
-    NPC = "npc"
 
 
 def _armijo_ladder(
@@ -405,28 +404,3 @@ def run_mgd(
         raise result
     return result
 
-
-def classify_subsequences(trace: list[TraceRecord]) -> list[tuple[SegmentKind, int, int]]:
-    """Partition a trace into the critical-end / non-critical taxonomy.
-
-    Returns (kind, first_k, last_k) per maximal segment: segments closed
-    by a fallback step at a critical iterate, segments ending in a zero
-    step at a critical iterate, and segments containing no critical end.
-    """
-    if not trace:
-        raise ValueError("trace must be non-empty")
-    segments: list[tuple[SegmentKind, int, int]] = []
-    start = trace[0].k
-    for rec in trace:
-        critical = rec.critical_case is not CriticalityCase.NOT_CRITICAL
-        if critical and not rec.armijo_satisfied and rec.eta > 0:
-            segments.append((SegmentKind.PC_ETA_HAT, start, rec.k))
-            start = rec.k + 1
-    if start <= trace[-1].k:
-        tail = [r for r in trace if r.k >= start]
-        last = tail[-1]
-        if last.critical_case is not CriticalityCase.NOT_CRITICAL and last.eta == 0.0:
-            segments.append((SegmentKind.PC_0, start, last.k))
-        else:
-            segments.append((SegmentKind.NPC, start, last.k))
-    return segments

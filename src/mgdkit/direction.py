@@ -11,7 +11,10 @@ their data, ``_standard_form`` writes a direction LP, or a non-ascent
 cone LP of the classification, in the simplex's standard form, and
 ``_simplex`` solves them, batched from ``_BATCH_MIN_WIDTH`` LPs on and
 one by one below.  ``_solve_batch`` is the direction step of a descent
-iteration, and ``solve_direction`` its one-Jacobian case.
+iteration, and ``solve_direction`` its one-Jacobian case.  The step
+classifies on arrays, in at most three ``_simplex`` calls: the direction
+LPs, lp-base's cone LPs, and the coordinate probes at p* = 0, where a
+row's first probe that finds a direction or fails decides its case.
 """
 
 from __future__ import annotations
@@ -124,8 +127,8 @@ def _standard_form(c_p, G, box, c_beta=None, keep=None):
     As = np.zeros((W, m + n, k))
     As[:, :m, :n] = G
     # Entry (m + j, j) of an LP's (m + n, k) block is its flat entry
-    # m*k + j*(k + 1): the unit rows of the box.
-    As.reshape(W, -1)[:, m * k :: k + 1] = 1.0
+    # m*k + j*(k + 1): the unit rows of the box.  (No -1: W may be 0.)
+    As.reshape(W, (m + n) * k)[:, m * k :: k + 1] = 1.0
     bs = np.empty((W, m + n))
     bs[:, :m] = box[:, None] * _sum_in_order(G, 2)
     bs[:, m:] = (2.0 * box)[:, None]
@@ -165,41 +168,10 @@ def _simplex(cs, As, bs):
     }
 
 
-def _cone_min(c: np.ndarray, G: np.ndarray, box: float) -> float:
-    """min c.p over the non-ascent cone  G p <= 0, |p|inf <= box."""
-    Y, failures = _simplex(*_standard_form(c[None], G[None], np.array([box])))
-    if failures:
-        raise failures[0]
-    return float(_sum_in_order(c * (Y[0] - box), 0))
-
-
-def _classify_critical(
-    g: np.ndarray, G: np.ndarray, box: float, p: np.ndarray, min_gp: Optional[float]
-) -> CriticalityCase:
-    """Distinguish the three critical cases at beta* = 0.
-
-    The discriminator is min g.p over the feasible non-ascent cone: a
-    strictly negative minimum means a non-null direction descending for
-    at least one objective; otherwise the cone either is {0} or consists
-    of directions perpendicular to every gradient.  lp-new passes the
-    minimum, its own LP's value at beta* = 0; for lp-base (``None``) it
-    is solved for here.
-    """
-    if min_gp is None:
-        min_gp = _cone_min(g, G, box)
-    if min_gp < -TOL_ZERO_DIR:
-        return CriticalityCase.CRITICAL_NON_NULL
-    if np.abs(p).max() > TOL_ZERO_DIR:
-        return CriticalityCase.CRITICAL_PERPENDICULAR
-    # Returned vertex is 0; probe each coordinate for nonzero feasible
-    # directions to tell the {0} cone from a perpendicular one.
-    for j in range(len(p)):
-        for sign in (1.0, -1.0):
-            c = np.zeros(len(p))
-            c[j] = sign
-            if _cone_min(c, G, box) < -TOL_ZERO_DIR:
-                return CriticalityCase.CRITICAL_PERPENDICULAR
-    return CriticalityCase.CRITICAL_ZERO_ONLY
+def _cone_minima(C: np.ndarray, G: np.ndarray, box: np.ndarray):
+    """(minima, failures) of  min C[w].p  s.t.  G[w] p <= 0, |p|inf <= box[w]."""
+    Y, failures = _simplex(*_standard_form(C, G, box))
+    return _sum_in_order(C * (Y - box[:, None]), 1), failures
 
 
 def _solve_batch(
@@ -219,55 +191,75 @@ def _solve_batch(
     when the Jacobians have no entries.
 
     ``_prepare`` states the LPs, all of one shape, and one ``_simplex``
-    call solves them, so the width picks only the simplex.  An lp-new
-    row dropped for its norm is a zero row of its LP; a Jacobian with
-    every row dropped has no LP (critical-zero-only, p* = 0).  Critical
-    results are classified one by one.
+    call solves them: an lp-new row dropped for its norm is a zero row,
+    and a Jacobian with every row dropped has no LP (critical-zero-only,
+    p* = 0).  Critical results (beta* >= -TOL_ZERO_DIR) are classified on
+    arrays by min g.p over the non-ascent cone, read off lp-new's LP value
+    and solved for lp-base in one call: below -TOL_ZERO_DIR it is
+    critical-non-null, else a p* off 0 is critical-perpendicular.  At
+    p* = 0 one call solves each row's 2n probes  min +-p_j  over the cone,
+    in the order +e_0, -e_0, +e_1, ...: the first to find a minimum below
+    -TOL_ZERO_DIR (critical-perpendicular) or to fail (its SolverFailure)
+    decides the row, and a row with neither is critical-zero-only.
     """
     J = np.asarray(J, dtype=float)
     W, m, n = J.shape
     P, beta, cases, errors = np.zeros((W, n)), np.zeros(W), np.empty(W, dtype=object), {}
     if m == 0 or n == 0:
-        for w in range(W):
-            errors[w] = ValueError(f"a Jacobian of shape {(m, n)} has no entries")
+        errors = {w: ValueError(f"a Jacobian of shape {(m, n)} has no entries") for w in range(W)}
         return (P, beta, cases, errors), None
-    lp_new = variant is DirectionVariant.LP_NEW
+
+    def fail(rows, failures):
+        # Row rows[k] fails with failures[k] and leaves ``live``.
+        for k, exc in failures.items():
+            errors[int(rows[k])], cases[rows[k]], live[rows[k]] = exc, None, False
+
     with np.errstate(all="ignore"):
         g, keep, gamma, c_beta, G, c_p = _prepare(J, variant, epsilon)
-        # The LPs solved: every finite Jacobian with a row kept.
-        if np.isfinite(J).all() and keep.any(axis=1).all():
-            lps, rows = slice(None), range(W)
-        else:
-            finite = np.isfinite(J).all(axis=(1, 2))
+        result = (P, beta, cases, errors), (keep, gamma, c_beta)
+        # Rows still being classified: those with an LP (else p* = 0), then the critical.
+        finite = np.isfinite(J).all(axis=(1, 2))
+        live = finite & keep.any(axis=1)
+        if not live.all():
+            cases[~live] = CriticalityCase.CRITICAL_ZERO_ONLY
             for w in np.flatnonzero(~finite).tolist():
-                errors[w] = ValueError("a Jacobian entry is not finite")
-            cases[finite & ~keep.any(axis=1)] = CriticalityCase.CRITICAL_ZERO_ONLY
-            lps = np.flatnonzero(finite & keep.any(axis=1))
-            rows = lps.tolist()
-        if rows:
-            box, cb, G = gamma[lps], c_beta[lps], G[lps]
-            Y, failures = _simplex(*_standard_form(c_p[lps], G, box, cb, keep[lps]))
-            P[lps] = Y[:, :n] - box[:, None]
-            beta[lps] = -Y[:, n]
-            cases[lps] = CriticalityCase.NOT_CRITICAL
-            for k, exc in failures.items():
-                errors[rows[k]], cases[rows[k]] = exc, None
-            for k, b in enumerate(beta[lps].tolist()):
-                if b < -TOL_ZERO_DIR or k in failures:
-                    continue
-                w, min_gp = rows[k], None
-                if lp_new:
-                    # At a critical point the beta term vanishes, so the
-                    # LP's value less that term is min g.p over the cone
-                    # (taken from the value, so that it rounds as in the
-                    # list formulation the tests compare against).
-                    value = float(_sum_in_order(c_p[w] * P[w], 0)) + cb[k] * b
-                    min_gp = value - cb[k] * b
-                try:
-                    cases[w] = _classify_critical(g[w], G[k], gamma[w], P[w], min_gp)
-                except SolverFailure as exc:
-                    errors[w], cases[w] = exc, None
-    return (P, beta, cases, errors), (keep, gamma, c_beta)
+                errors[w], cases[w] = ValueError("a Jacobian entry is not finite"), None
+        lps = np.flatnonzero(live)
+        # take copies rows of 2-d and 3-d arrays for a fraction of [lps]'s cost.
+        box = gamma[lps]
+        form = _standard_form(c_p.take(lps, 0), G.take(lps, 0), box, c_beta[lps], keep.take(lps, 0))
+        Y, failures = _simplex(*form)
+        P[lps] = Y[:, :n] - box[:, None]
+        beta[lps] = -Y[:, n]
+        cases[lps] = CriticalityCase.NOT_CRITICAL
+        fail(lps, failures)
+        live &= ~(beta < -TOL_ZERO_DIR)
+        if not live.any():
+            return result
+        if variant is DirectionVariant.LP_NEW:
+            # min g.p over the cone: the LP's value less its beta term, rounded as the oracle's.
+            min_gp = (_sum_in_order(c_p * P, 1) + c_beta * beta) - c_beta * beta
+        else:
+            rows, min_gp = np.flatnonzero(live), np.zeros(W)
+            min_gp[rows], failures = _cone_minima(g.take(rows, 0), G.take(rows, 0), gamma[rows])
+            fail(rows, failures)
+        non_null = live & (min_gp < -TOL_ZERO_DIR)
+        cases[non_null], live[non_null] = CriticalityCase.CRITICAL_NON_NULL, False
+        if not live.any():
+            return result
+        cases[live] = CriticalityCase.CRITICAL_PERPENDICULAR
+        zero = np.flatnonzero(live & ~(np.abs(P).max(axis=1) > TOL_ZERO_DIR))
+        if not zero.size:
+            return result
+        # Probes tell a {0} cone from a perpendicular one (0.0 - eye: zeros are +0.0).
+        eye, k = np.eye(n), 2 * n
+        C = np.tile(np.stack([eye, 0.0 - eye], axis=1).reshape(k, n), (zero.size, 1))
+        minima, failures = _cone_minima(C, G.take(zero.repeat(k), 0), gamma[zero.repeat(k)])
+        decided = (minima < -TOL_ZERO_DIR).reshape(zero.size, k)
+        decided.flat[list(failures)] = True
+        cases[zero[~decided.any(axis=1)]] = CriticalityCase.CRITICAL_ZERO_ONLY
+        fail(zero, {i // k: e for i, e in failures.items() if i % k == decided[i // k].argmax()})
+    return result
 
 
 def solve_direction(

@@ -165,6 +165,8 @@ class StartSampler:
         box = np.asarray(self.box, dtype=float).reshape(-1, 2)
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if not np.isfinite(box).all():
+            raise ValueError("box bounds must be finite")
         if np.any(box[:, 0] > box[:, 1]):
             raise ValueError("box lower bounds must be <= upper bounds")
         object.__setattr__(self, "box", box)

@@ -8,11 +8,13 @@ direction LPs and their classification on plain lists, the
 critical-region scan cell by cell, the descent one start at a time,
 non-dominance pair by pair, a variant's Pareto ratio and front in two
 stages, and the output files' JSON and CSV text one value at a time, from
-front and trace rows as dicts.
+front and trace rows as dicts.  ``classify_subsequences`` splits a
+trace into segments by how they end; only the tests use it.
 """
 
 import json
 import math
+from enum import Enum
 from functools import reduce
 from itertools import combinations
 from operator import add
@@ -514,3 +516,35 @@ def table_text_oracle(rows: list, fmt: str) -> str:
             cells += map(_cell_oracle, v) if isinstance(v, list) else [_cell_oracle(v)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+class SegmentKind(Enum):
+    PC_ETA_HAT = "pc-eta-hat"
+    PC_0 = "pc-0"
+    NPC = "npc"
+
+
+def classify_subsequences(trace: list[TraceRecord]) -> list[tuple[SegmentKind, int, int]]:
+    """Partition a trace into the critical-end / non-critical taxonomy.
+
+    Returns (kind, first_k, last_k) per maximal segment: segments closed
+    by a fallback step at a critical iterate, segments ending in a zero
+    step at a critical iterate, and segments containing no critical end.
+    """
+    if not trace:
+        raise ValueError("trace must be non-empty")
+    segments: list[tuple[SegmentKind, int, int]] = []
+    start = trace[0].k
+    for rec in trace:
+        critical = rec.critical_case is not CriticalityCase.NOT_CRITICAL
+        if critical and not rec.armijo_satisfied and rec.eta > 0:
+            segments.append((SegmentKind.PC_ETA_HAT, start, rec.k))
+            start = rec.k + 1
+    if start <= trace[-1].k:
+        tail = [r for r in trace if r.k >= start]
+        last = tail[-1]
+        if last.critical_case is not CriticalityCase.NOT_CRITICAL and last.eta == 0.0:
+            segments.append((SegmentKind.PC_0, start, last.k))
+        else:
+            segments.append((SegmentKind.NPC, start, last.k))
+    return segments

@@ -15,10 +15,8 @@ from mgdkit import (
     DirectionVariant,
     EvaluationError,
     Problem,
-    SegmentKind,
     Termination,
     backtrack,
-    classify_subsequences,
     dominates,
     evaluate,
     get_problem,
@@ -31,7 +29,7 @@ from mgdkit import (
 import mgdkit.descent as descent_mod
 from mgdkit.descent import TraceRecord
 from mgdkit.direction import _BATCH_MIN_WIDTH, _solve_batch
-from oracles import run_mgd_oracle
+from oracles import SegmentKind, classify_subsequences, run_mgd_oracle
 
 LP_NEW = DirectionConfig(variant=DirectionVariant.LP_NEW)
 LP_BASE = DirectionConfig(variant=DirectionVariant.LP_BASE)
@@ -96,6 +94,16 @@ class TestParams:
         for eta_hat in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError):
                 BacktrackParams(eta_hat=eta_hat)
+
+    def test_theta_must_be_an_integer(self):
+        # A float theta would build a ladder of ceil(theta) steps but a
+        # fallback step of alpha**theta; numpy integers are integers.
+        for theta in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="theta"):
+                BacktrackParams(theta=theta)
+        params = BacktrackParams(alpha=0.5, theta=np.int64(3))
+        assert params._ladder.tolist() == [1.0, 0.5, 0.25]
+        assert params.fallback_step == 0.125
 
     def test_fallback_default(self):
         params = BacktrackParams(eta0=1.0, alpha=0.8, theta=40)

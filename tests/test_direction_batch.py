@@ -10,7 +10,9 @@ oracle's gamma, c_beta and dropped rows.  The Jacobians come from the
 generator of the direction-LP robustness item: m = 2-3 objectives,
 n = 1-5 variables, an overall scale from 1e-8 to 1e8 with each row
 rescaled by up to e^+-3, and exactly opposed rows, rows parallel to
-within 1e-9, zero rows and all-zero Jacobians mixed in.
+within 1e-9, zero rows and all-zero Jacobians mixed in.  The critical
+results are classified on arrays, in at most three ``_simplex`` calls,
+and a row's first probe that finds a direction or fails decides it.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgdkit.direction as direction_mod
-from mgdkit import DirectionVariant, solve_direction
+from mgdkit import CriticalityCase, DirectionVariant, SolverFailure, solve_direction
 from mgdkit.direction import _BATCH_MIN_WIDTH, _solve_batch
 from oracles import solve_direction_oracle
 
@@ -211,7 +213,7 @@ class TestBatchedEqualsScalar:
         # scalar one; below it a scalar simplex per Jacobian.  A row lp-new
         # drops for its norm (a zero row in every third Jacobian) keeps its
         # Jacobian in the batch.  (lp-base keeps a zero row, which makes
-        # its Jacobian critical and classified by scalar cone LPs.)
+        # its Jacobian critical and adds a call for the cone LPs.)
         calls, core_calls = [], []
         simplex_batch, simplex_core = direction_mod._simplex_batch, direction_mod._simplex_core
 
@@ -232,3 +234,70 @@ class TestBatchedEqualsScalar:
         wide = width >= _BATCH_MIN_WIDTH
         assert calls == ([width] if wide else [])
         assert len(core_calls) == (0 if wide else width)
+
+
+# A zero vertex with the {0} cone: p0 + p1 <= 0, p0 >= 0 and p1 >= 0 leave
+# only p = 0, so every probe finds 0 and the Jacobian is critical-zero-only.
+ZERO_ONLY_JAC = [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+# A generated Jacobian whose lp-base LP returns p* = 0 at a cone with
+# perpendicular directions: its probe +e_0 finds 0 and -e_0 finds -1.
+PERPENDICULAR_JAC = [
+    [3.362646795799128e-07, -1.1017789521132064e-06],
+    [-6.496524385715884e-08, 2.1286011480640547e-07],
+    [-1.0375328336669421e-09, 2.2154004914304926e-09],
+]
+
+
+class TestClassificationOnArrays:
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("variant", list(DirectionVariant))
+    def test_at_most_three_simplex_calls(self, width, variant, monkeypatch):
+        # One call for the direction LPs, one for lp-base's cone LPs and
+        # one for the coordinate probes, whatever the width: every fourth
+        # Jacobian, J[0] included, is at a zero vertex, so each call is made.
+        calls = []
+        simplex = direction_mod._simplex
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return simplex(*args)
+
+        monkeypatch.setattr(direction_mod, "_simplex", spy)
+        J = random_jacobians(np.random.default_rng(width), width, 3, 2, 0.0)
+        J[::4] = ZERO_ONLY_JAC
+        check_batch(J, variant, rows=())
+        assert len(calls) == (3 if variant is DirectionVariant.LP_BASE else 2)
+
+    @pytest.mark.parametrize(
+        "failing, expected",
+        [
+            # Row 0's probe -e_0 (LP 1) decides before its failing +e_1;
+            # row 1 finds nothing before its failing -e_0 (LP 5).
+            ({2, 5}, [CriticalityCase.CRITICAL_PERPENDICULAR, "failure 5"]),
+            # Row 0's failing +e_0 comes before its deciding -e_0.
+            ({0, 7}, ["failure 0", "failure 7"]),
+            (set(), [CriticalityCase.CRITICAL_PERPENDICULAR, CriticalityCase.CRITICAL_ZERO_ONLY]),
+        ],
+    )
+    def test_first_deciding_probe(self, failing, expected, monkeypatch):
+        # The 2n = 4 probes of each zero-vertex row are LPs 4*row + 0..3 of
+        # one call, in the order +e_0, -e_0, +e_1, -e_1; a row's first
+        # probe that finds a direction or fails decides it.
+        J = np.array([PERPENDICULAR_JAC, ZERO_ONLY_JAC])
+        simplex = direction_mod._simplex
+        probes = np.tile([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], (2, 1))
+
+        def inject(cs, As, bs):
+            Y, failures = simplex(cs, As, bs)
+            if np.array_equal(cs, probes):
+                failures.update({k: SolverFailure(f"failure {k}") for k in failing})
+            return Y, failures
+
+        monkeypatch.setattr(direction_mod, "_simplex", inject)
+        (P, beta, cases, errors), _ = _solve_batch(J, DirectionVariant.LP_BASE)
+        assert not np.abs(P).max() > direction_mod.TOL_ZERO_DIR
+        for w, case in enumerate(expected):
+            if isinstance(case, str):
+                assert str(errors[w]) == case and cases[w] is None
+            else:
+                assert w not in errors and cases[w] is case

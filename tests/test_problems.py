@@ -319,3 +319,9 @@ class TestSampler:
             StartSampler(np.tile([0.0, 1.0], (2, 1)), 0, 0)
         with pytest.raises(ValueError):
             StartSampler(np.array([[1.0, 0.0]]), 1, 0)
+
+    def test_non_finite_bounds_rejected(self):
+        # Such a box would sample inf and nan coordinates.
+        for box in ([[0.0, np.inf], [np.nan, 1.0]], [[-np.inf, 0.0]], [[np.nan, np.nan]]):
+            with pytest.raises(ValueError, match="finite"):
+                StartSampler(box, 2, 0)
