@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -14,6 +15,17 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, objective_index: Optional[int] = None):
         super().__init__(message)
         self.objective_index = objective_index
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise a ValueError unless ``value`` is an integer (one that
+    ``operator.index`` takes, numpy's too) of at least ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from .core import Evaluation, Problem, _check_integer, _dominates_rows, evaluate
 # dominates stays importable here: bench/instrument.py wraps descent.dominates.
-from .core import Evaluation, Problem, _dominates_rows, dominates, evaluate  # noqa: F401
+from .core import dominates  # noqa: F401
 # So does solve_direction: bench/instrument.py wraps descent.solve_direction.
 from .direction import (  # noqa: F401
     TOL_ZERO_DIR,
@@ -149,6 +150,27 @@ def backtrack(
     return eta, eval_k.x + eta * p, bool(satisfied[0])
 
 
+def _ladder_rows(
+    problem: Problem, X: np.ndarray, F: np.ndarray, J: np.ndarray, P: np.ndarray,
+    params: BacktrackParams,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The :func:`_armijo_ladder` of the rows, and {row: exception} of the
+    rows whose own ladder raises: when the stacked ladder raises, each row
+    retries alone, so only those rows fail; their rows hold a zero step."""
+    try:
+        return (*_armijo_ladder(problem, X, F, J, P, params), {})
+    except Exception:
+        pass  # retried row by row below, where the error is kept per row
+    eta, sat, errors = np.zeros(len(X)), np.zeros(len(X), dtype=bool), {}
+    for i in range(len(X)):
+        row = slice(i, i + 1)
+        try:
+            (eta[i],), (sat[i],) = _armijo_ladder(problem, X[row], F[row], J[row], P[row], params)
+        except Exception as exc:
+            errors[i] = exc
+    return eta, sat, errors
+
+
 def _evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Objectives (W, m) and Jacobians (W, m, n) at the rows of X.
 
@@ -198,7 +220,9 @@ def _at_iteration(k: int, exc: Exception) -> Exception:
 
 
 def _rows(keep: np.ndarray, *arrays):
-    """The rows of each array where ``keep`` is True."""
+    """The rows of each array where ``keep`` holds: the arrays themselves if it holds for all."""
+    if np.count_nonzero(keep) == len(keep):  # a third of keep.all()'s cost on a few rows
+        return arrays
     idx = np.flatnonzero(keep)
     return [a[idx] for a in arrays]
 
@@ -221,10 +245,13 @@ def run_mgd_batch(
     point without affecting the others, and every run follows exactly the
     iterates it would follow alone.
 
-    Each iteration logs the points it stores, and its trace rows, as one
-    block of arrays for all runs.  After the loop each log is split by
-    run once, and every run's stored points are pruned to those that no
-    stored point and not its final point dominates.
+    Each stage (the direction, the ladder, the step) returns {row:
+    exception} of the runs it fails; those and the runs it stops leave the
+    live rows in one narrowing per stage.  Each iteration logs the points
+    it stores, and its trace rows, as one block of arrays for all runs.
+    After the loop each log is split by run once, and every run's stored
+    points are pruned to those that no stored point and not its final
+    point dominates.
 
     Returns one entry per start: its :class:`RunResult`, or the exception
     that ended it, with the message prefixed by the iteration
@@ -232,11 +259,10 @@ def run_mgd_batch(
     """
     if K is None:
         K = problem.default_max_iters
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_integer("K", K, 1)
     bt_new = params.variant is BacktrackVariant.BT_NEW
     paper = params.paper_semantics
-    X0 = np.asarray(X0, dtype=float)
+    X0 = np.array(X0, dtype=float)  # a copy: runs that end at their start keep its rows
     # Run j's exception, or its (x_hat, f_hat, termination, iterations)
     # until its RunResult is built after the loop.
     out: list = [None] * len(X0)
@@ -244,110 +270,88 @@ def run_mgd_batch(
     # (runs, k, X, F, P, beta, eta, satisfied, cases) of the traced rows.
     stored_log, trace_log = [], []
 
-    def log_trace(k, runs, X, F, P, beta, eta, satisfied, cases):
+    def log_trace(k, runs, X, F, P, beta, cases, eta, satisfied):
         if record_trace:
             w = runs.size
             eta, satisfied = np.broadcast_to(eta, w), np.broadcast_to(satisfied, w)
             trace_log.append((runs, np.full(w, k), X, F, P, beta, eta, satisfied, cases))
 
-    def stop(k, mask, X, F, P, beta, cases, satisfied, termination):
-        # The runs where mask holds end at their current iterate, and
-        # iteration k is recorded as a zero step.
-        runs, X, F, P, beta, cases = _rows(mask, live, X, F, P, beta, cases)
-        log_trace(k, runs, X, F, P, beta, 0.0, satisfied, cases)
+    def end(runs, X, F, termination, k):
+        # The runs end at their rows of X and F after k iterations.
         for j, x, f in zip(runs.tolist(), X, F):
             out[j] = x, f, termination, k
 
-    def drop_failed(k, errors):
-        # The runs of rows in errors fail; returns the mask of the others.
+    def fail(k, errors):
+        # The live runs of the rows in errors fail; returns the mask of the others.
+        keep = np.ones(live.size, dtype=bool) if errors else everyone[: live.size]
         for i, exc in errors.items():
             out[live[i]] = _at_iteration(k, exc)
-        keep = np.ones(len(live), dtype=bool)
-        keep[list(errors)] = False
+            keep[i] = False
+        return keep
+
+    def stop(k, keep, mask, satisfied, termination):
+        # The kept runs where mask holds end at the current X and F, their
+        # iteration k logged as a zero step; returns the mask of the others.
+        mask = keep & mask
+        if np.count_nonzero(mask):
+            rows = _rows(mask, live, X, F, P, beta, cases)
+            log_trace(k, *rows, 0.0, satisfied)
+            end(*rows[:3], termination, k)
+            keep = keep & ~mask
         return keep
 
     # X, F and J are never written once made: each iteration makes new
     # ones, so the rows logged and handed out as final points stay valid.
-    live = np.arange(len(X0))
-    F, J, errors = _evaluate_rows(problem, X0)
-    X = X0
-    if errors:
-        live, X, F, J = _rows(drop_failed(0, errors), live, X, F, J)
+    live, X = np.arange(len(X0)), X0
+    everyone = np.ones(len(X0), dtype=bool)  # never written: fail's mask when none fails
+    F, J, errors = _evaluate_rows(problem, X)
+    live, X, F, J = _rows(fail(0, errors), live, X, F, J)
 
     for k in range(K):
         if not live.size:
             break
+        # The direction: a zero one stops its run.
         (P, beta, cases, errors), _ = _solve_batch(J, dir_cfg.variant, dir_cfg.epsilon)
-        if errors:
-            live, X, F, J, P, beta, cases = _rows(
-                drop_failed(k, errors), live, X, F, J, P, beta, cases
-            )
-            if not live.size:
-                break
-
+        keep = fail(k, errors)
         if not paper:
             zero = np.abs(P).max(axis=1) <= TOL_ZERO_DIR
-            if zero.any():
-                stop(k, zero, X, F, P, beta, cases, True, Termination.ZERO_DIRECTION)
-                live, X, F, J, P, beta, cases = _rows(~zero, live, X, F, J, P, beta, cases)
-                if not live.size:
-                    break
+            keep = stop(k, keep, zero, True, Termination.ZERO_DIRECTION)
+        live, X, F, J, P, beta, cases = _rows(keep, live, X, F, J, P, beta, cases)
+        if not live.size:
+            break
 
-        try:
-            eta, sat = _armijo_ladder(problem, X, F, J, P, params)
-        except Exception:
-            # Retry run by run, so only runs whose own ladder fails fail.
-            eta, sat, errors = np.empty(live.size), np.empty(live.size, dtype=bool), {}
-            for i in range(live.size):
-                try:
-                    (eta[i],), (sat[i],) = _armijo_ladder(
-                        problem, X[i : i + 1], F[i : i + 1], J[i : i + 1], P[i : i + 1], params
-                    )
-                except Exception as exc:
-                    errors[i] = exc
-            keep = drop_failed(k, errors)
-            live, X, F, J, P, beta, cases, eta, sat = _rows(
-                keep, live, X, F, J, P, beta, cases, eta, sat
-            )
+        # The ladder: under bt-base a run without an Armijo step stops.
+        eta, sat, errors = _ladder_rows(problem, X, F, J, P, params)
+        keep = fail(k, errors)
+        if not bt_new:
+            keep = stop(k, keep, ~sat, False, Termination.DOMINATED_STEP)
+        live, X, F, P, beta, cases, eta, sat = _rows(keep, live, X, F, P, beta, cases, eta, sat)
+        if not live.size:
+            break
 
-        if not bt_new and not sat.all():
-            stop(k, ~sat, X, F, P, beta, cases, False, Termination.DOMINATED_STEP)
-            live, X, F, J, P, beta, cases, eta, sat = _rows(
-                sat, live, X, F, J, P, beta, cases, eta, sat
-            )
-
+        # The step: a fallback step to a point the current one dominates stops its run.
         X_new = X + eta[:, None] * P
         F_new, J_new, errors = _evaluate_rows(problem, X_new)
-        if errors:
-            keep = drop_failed(k, errors)
-            live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new = _rows(
-                keep, live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new
-            )
-
-        dominated = ~sat & _dominates_rows(F, F_new)
-        if dominated.any():
-            stop(k, dominated, X, F, P, beta, cases, False, Termination.DOMINATED_STEP)
-            live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new = _rows(
-                ~dominated, live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new
-            )
+        keep = fail(k, errors)
+        keep = stop(k, keep, ~sat & _dominates_rows(F, F_new), False, Termination.DOMINATED_STEP)
+        live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new = _rows(
+            keep, live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new
+        )
 
         if bt_new:
-            # The points their successor does not dominate, copied so that
-            # the log does not keep the whole iteration's arrays alive.
+            # The points their successor does not dominate.
             stored_log.append(_rows(~_dominates_rows(F_new, F), live, X, F))
-        log_trace(k, live, X, F, P, beta, eta, sat, cases)
+        log_trace(k, live, X, F, P, beta, cases, eta, sat)
         X, F, J = X_new, F_new, J_new
         if not paper:
             # A fallback step of zero was accepted: the sequence is constant
             # from here on; finishing the budget would change nothing.
-            still = eta != 0.0
-            if not still.all():
-                for i in np.flatnonzero(~still):
-                    out[live[i]] = X[i], F[i], Termination.ZERO_DIRECTION, k
-                live, X, F, J = _rows(still, live, X, F, J)
+            moved = eta != 0.0
+            if not moved.all():
+                end(*_rows(~moved, live, X, F), Termination.ZERO_DIRECTION, k)
+                live, X, F, J = _rows(moved, live, X, F, J)
 
-    for j, x, f in zip(live.tolist(), X, F):
-        out[j] = x, f, Termination.MAX_ITERS, K
+    end(live, X, F, Termination.MAX_ITERS, K)
 
     stored, stored_rows = _by_run(stored_log, len(out))
     traced, trace_rows = _by_run(trace_log, len(out))
@@ -358,10 +362,10 @@ def run_mgd_batch(
     # Runs that store nothing share one pair of empty arrays, so a pool job
     # pickles it once.
     nothing = np.empty((0, problem.n)), np.empty((0, problem.m))
-    for j, end in enumerate(out):
-        if isinstance(end, Exception):
+    for j, run in enumerate(out):
+        if isinstance(run, Exception):
             continue
-        x_hat, f_hat, termination, iterations = end
+        x_hat, f_hat, termination, iterations = run
         stored_x, stored_f = nothing
         rows = stored_rows[j]
         if rows.size:
@@ -397,9 +401,7 @@ def run_mgd(
     """Run one multiple-gradient descent sequence from ``x0``: the
     one-start case of :func:`run_mgd_batch`, raising the exception that
     ends the run."""
-    (result,) = run_mgd_batch(
-        problem, np.asarray(x0, dtype=float)[None], params, dir_cfg, K, record_trace
-    )
+    (result,) = run_mgd_batch(problem, [x0], params, dir_cfg, K, record_trace)
     if isinstance(result, Exception):
         raise result
     return result

@@ -7,6 +7,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import chain, islice
@@ -15,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import _check_integer
 # run_mgd stays importable here: bench/instrument.py wraps harness.run_mgd.
 from .descent import (  # noqa: F401
     BacktrackParams,
@@ -53,14 +55,11 @@ class ExperimentConfig:
     workers: int = 0  # 0 or 1: in-process; >1: the starts in that many pool jobs
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_integer("n_starts", self.n_starts, 1)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("workers", self.workers, 0)
+        if self.max_iters is not None:
+            _check_integer("max_iters", self.max_iters, 1)
         if self.trace_format not in ("csv", "json"):
             raise ValueError("trace_format must be 'csv' or 'json'")
         if not self.directions or not self.backtrackings:
@@ -120,20 +119,9 @@ def _ratio_and_front(results: list, n: int, m: int) -> tuple[float, np.ndarray, 
     return ratio, np.concatenate(xs)[mask], np.concatenate(fs)[mask]
 
 
-class RunFailure(tuple):
-    """A failed run: the pair (index, message), as it unpacks, and in
-    ``cause`` the name of the exception type that ended the run."""
-
-    def __new__(cls, index: int, message: str, cause: str):
-        failure = super().__new__(cls, (index, message))
-        failure.cause = cause
-        return failure
-
-
 def _run_chunk(args):
-    problem_name, X0, params, dir_cfg, K = args
-    problem = get_problem(problem_name)
-    return run_mgd_batch(problem, X0, params, dir_cfg, K=K, record_trace=False)
+    problem_name, X0, params, dir_cfg, K, record_trace = args
+    return run_mgd_batch(get_problem(problem_name), X0, params, dir_cfg, K, record_trace)
 
 
 def _pooled(pool, jobs: list) -> list:
@@ -165,52 +153,35 @@ def run_variant(
     starts: np.ndarray,
     record_trace: bool = False,
     pool: Optional[ProcessPoolExecutor] = None,
-) -> tuple[list, list]:
+) -> tuple[list, dict]:
     """All runs of one variant over the shared starts, advanced in lockstep.
 
     Given a ``pool``, the starts are split into ``config.workers`` chunks,
-    one job each in it; traces are recorded only in-process, without one.
-    Returns (results, failures) where results has one entry per start
-    (None where the run failed) and failures is a list of
-    :class:`RunFailure`, (index, message) pairs.
+    one job each in it, else they run in-process; either way with traces
+    if ``record_trace``.  Returns (results, failures): per start its
+    :class:`RunResult`, None where the run failed, and {start index: the
+    exception that ended its run}.
     """
-    params = config.backtrack_params(backtracking)
-    dir_cfg = config.direction_config(direction)
-    K = config.max_iters
-
-    if pool is not None:
-        if record_trace:
-            raise ValueError("traces are recorded in-process only; pass no pool")
-        jobs = [
-            (config.problem, X0, params, dir_cfg, K)
-            for X0 in np.array_split(starts, config.workers)
-            if len(X0)
-        ]
-        outcomes = _pooled(pool, jobs)
+    job = (config.backtrack_params(backtracking), config.direction_config(direction),
+           config.max_iters, record_trace)
+    if pool is None:
+        outcomes = _run_chunk((config.problem, starts, *job))
     else:
-        problem = get_problem(config.problem)
-        outcomes = run_mgd_batch(problem, starts, params, dir_cfg, K=K, record_trace=record_trace)
-
-    results: list = []
-    failures: list = []
-    for j, outcome in enumerate(outcomes):
-        if isinstance(outcome, RunResult):
-            results.append(outcome)
-        else:
-            results.append(None)
-            failures.append(RunFailure(j, f"run {j}: {outcome}", type(outcome).__name__))
-    return results, failures
+        chunks = np.array_split(starts, config.workers)
+        outcomes = _pooled(pool, [(config.problem, X0, *job) for X0 in chunks if len(X0)])
+    failures = {j: e for j, e in enumerate(outcomes) if isinstance(e, Exception)}
+    return [None if j in failures else r for j, r in enumerate(outcomes)], failures
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every requested variant over one shared list of start points.
 
-    Failed runs contribute no points and are counted in the report.  With
-    an output directory configured, the report, the fronts (and traces, if
+    Failed runs contribute no points; the report counts them by exception
+    type and keeps a message ``run j: <exception>`` for each.  With an
+    output directory configured, the report, the fronts (and traces, if
     requested) are written there; traces are recorded only then.  With
-    ``config.workers > 1`` and no traces to record, every variant runs in
-    one shared worker pool, which is replaced after a variant whose worker
-    died.
+    ``config.workers > 1`` every variant, traced or not, runs in one
+    shared worker pool, which is replaced after a variant whose worker died.
     """
     problem = get_problem(config.problem)
     starts = sample_starts(
@@ -221,8 +192,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     variants = []
     all_results = {}
     traced = config.emit_traces and bool(config.out_dir)
-    pooled = config.workers > 1 and not traced
-    pool = ProcessPoolExecutor(max_workers=config.workers) if pooled else None
+    pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     try:
         for backtracking in config.backtrackings:
             for direction in config.directions:
@@ -231,24 +201,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     config, direction, backtracking, starts,
                     record_trace=traced, pool=pool,
                 )
-                if pool is not None and any(f.cause == "BrokenProcessPool" for f in failures):
+                errors = failures.values()
+                if pool is not None and any(isinstance(e, BrokenProcessPool) for e in errors):
                     # A dead worker breaks the pool for good.
                     pool.shutdown()
                     pool = ProcessPoolExecutor(max_workers=config.workers)
                 ratio, X, F = _ratio_and_front(results, problem.n, problem.m)
-                counts: dict = {t.value: 0 for t in Termination}
-                for r in results:
-                    if r is not None:
-                        counts[r.termination.value] += 1
-                causes = Counter(f.cause for f in failures)
+                ends = Counter(r.termination for r in results if r is not None)
+                causes = Counter(type(e).__name__ for e in errors)
                 variants.append(
                     VariantResult(
                         direction=direction,
                         backtracking=backtracking,
                         pareto_ratio=ratio,
-                        termination_counts=counts,
+                        termination_counts={t.value: ends[t] for t in Termination},
                         failures=len(failures),
-                        failure_messages=tuple(msg for _, msg in failures),
+                        failure_messages=tuple(f"run {j}: {e}" for j, e in failures.items()),
                         wall_time=time.perf_counter() - t0,
                         failure_causes=dict(sorted(causes.items())),
                     )
@@ -459,18 +427,21 @@ def _table_text(columns: tuple, rows: list, fmt: str) -> str:
     first of ``rows``, flat tuples of cells that all share them.
 
     In CSV a header names the columns, a list column by its key and index
-    (``x0``, ``x1``, ...); a float has 17 significant digits, a bool is
-    0/1.  In JSON each row is an object, a list column a list.
+    (``x0``, ``x1``, ...), and is written for a table without rows too; a
+    float has 17 significant digits, a bool is 0/1.  In JSON each row is
+    an object, a list column a list.
     """
-    if not rows:
-        return "[]\n" if fmt == "json" else ""
-    width = len(rows[0])
     cells = list(chain.from_iterable(rows))
     if fmt != "json":
         header = ",".join(key if n is None else ",".join(f"{key}{i}" for i in range(n))
                           for key, n in columns)
-        row = ",".join([_cell_format(type(cell)) for cell in cells[:width]])
+        if not rows:
+            return header + "\n"
+        row = ",".join([_cell_format(type(cell)) for cell in cells[:len(rows[0])]])
         return header + "\n" + "\n".join([row] * len(rows)) % tuple(cells) + "\n"
+    if not rows:
+        return "[]\n"
+    width = len(rows[0])
     for i, kind in enumerate(map(type, rows[0])):
         if kind in _JSON_CELL:
             cells[i::width] = map(_JSON_CELL[kind], cells[i::width])

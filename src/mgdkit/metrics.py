@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
@@ -164,7 +165,10 @@ def critical_region_scan(
     resolution = [int(r) for r in resolution]
     if len(resolution) != n or any(r < 2 for r in resolution):
         raise ValueError("resolution needs >= 2 cells per axis")
-    i, j = pair
+    try:
+        i, j = map(operator.index, pair)
+    except TypeError:
+        i = j = 0  # not objective numbers: rejected below
     if not (1 <= i <= problem.m and 1 <= j <= problem.m) or i == j:
         raise ValueError("pair must be two distinct objective numbers")
     if not math.isfinite(tol):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Problem
+from .core import Problem, _check_integer
 
 
 def _point_evaluator(f_batch, jac_batch):
@@ -163,8 +163,7 @@ class StartSampler:
 
     def __post_init__(self):
         box = np.asarray(self.box, dtype=float).reshape(-1, 2)
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        _check_integer("count", self.count, 1)
         if not np.isfinite(box).all():
             raise ValueError("box bounds must be finite")
         if np.any(box[:, 0] > box[:, 1]):

@@ -498,17 +498,13 @@ def trace_rows_oracle(result: RunResult) -> list:
     ]
 
 
-def table_text_oracle(rows: list, fmt: str) -> str:
+def table_text_oracle(header: list, rows: list, fmt: str) -> str:
     """The text of ``harness._table_text`` from rows of dicts with keys in
-    column order, one call per cell: in CSV a list value spreads over one
-    column per entry, headed by its key and index."""
+    column order, one call per cell: in CSV a line of the names in
+    ``header``, written for a table without rows too, then one line per
+    row, where a list value spreads over one column per entry."""
     if fmt == "json":
         return json_text_oracle(rows) + "\n"
-    if not rows:
-        return ""
-    header = []
-    for k, v in rows[0].items():
-        header += [f"{k}{i}" for i in range(len(v))] if isinstance(v, list) else [k]
     lines = [",".join(header)]
     for row in rows:
         cells = []

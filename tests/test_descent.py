@@ -323,6 +323,11 @@ class TestRunMgd:
         prob = _problem_single_quadratic()
         with pytest.raises(ValueError):
             run_mgd(prob, np.zeros(2), BacktrackParams(), LP_NEW, K=0)
+        # A non-integer budget would fail late, in range().
+        for K in (2.5, 2.0):
+            with pytest.raises(ValueError, match="K must be an integer"):
+                run_mgd_batch(prob, np.zeros((1, 2)), BacktrackParams(), LP_NEW, K=K)
+        assert run_mgd(prob, np.zeros(2), BacktrackParams(), LP_NEW, K=np.int64(2)).iterations <= 2
 
     def test_failed_run_keeps_error_type_and_attributes(self):
         # Objective 1 turns non-finite once the run passes x = 3: the run

@@ -2,9 +2,10 @@
 
 A small Table-1 run with traces, written once as CSV and once as JSON, and
 four domain scans are hashed file by file: every front, trace and
-scan-mask file, and every report with its wall-time values blanked.  A
-change that moves any of these bytes must say why and record the digests
-again with
+scan-mask file, and every report with its wall-time values blanked.  The
+first Table-1 run is repeated in a 2-worker pool, whose fronts and traces
+must match the serial run's digests.  A change that moves any of these
+bytes must say why and record the digests again with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -14,6 +15,7 @@ import os
 import re
 import sys
 
+import mgdkit.harness as harness
 from mgdkit.cli import EXIT_OK, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
@@ -52,15 +54,13 @@ def _blank_wall_times(data: bytes) -> bytes:
     return WALL_TIMES.sub(lambda m: (m.group(1) or b"") + b"_", data)
 
 
-def output_digests(root: str) -> dict:
-    """Run every command into ``root`` and hash its front, trace, mask and
-    report files, the reports with their wall times blanked."""
-    for subdir, *argv in COMMANDS:
-        assert main([*argv, "--out", os.path.join(root, subdir)]) == EXIT_OK
+def _digests(root: str, names: tuple) -> dict:
+    """The sha256 digest of each file under ``root`` whose name starts with
+    one of ``names``, keyed by its path from ``root``."""
     digests = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            if name.startswith(("front_", "trace_", "scan_", "report.")):
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name.startswith(names):
                 path = os.path.join(dirpath, name)
                 with open(path, "rb") as fh:
                     data = fh.read()
@@ -71,10 +71,41 @@ def output_digests(root: str) -> dict:
     return dict(sorted(digests.items()))
 
 
+def output_digests(root: str) -> dict:
+    """Run every command into ``root`` and hash its front, trace, mask and
+    report files, the reports with their wall times blanked."""
+    for subdir, *argv in COMMANDS:
+        assert main([*argv, "--out", os.path.join(root, subdir)]) == EXIT_OK
+    return _digests(root, ("front_", "trace_", "scan_", "report."))
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     with open(GOLDEN) as fh:
         expected = json.load(fh)
     assert output_digests(str(tmp_path)) == expected
+
+
+def test_pooled_traces_match_recorded_digests(tmp_path, monkeypatch):
+    # The table1 command in a 2-worker pool, two traced jobs per variant,
+    # writes the recorded serial fronts and traces byte for byte (its
+    # reports echo the worker count).
+    jobs = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            jobs.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    subdir, *argv = COMMANDS[0]
+    argv[argv.index("--workers") + 1] = "2"
+    assert main([*argv, "--out", str(tmp_path / subdir)]) == EXIT_OK
+    assert len(jobs) == 3 * 4 * 2
+    with open(GOLDEN) as fh:
+        expected = {k: v for k, v in json.load(fh).items()
+                    if k.startswith(f"{subdir}/") and "/report." not in k}
+    assert len(expected) == 3 * (4 + 12)
+    assert _digests(str(tmp_path), ("front_", "trace_")) == expected
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
 """Tests for experiment orchestration, persistence, and the CLI."""
 
-import contextlib
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,7 +30,6 @@ from mgdkit.harness import (
     _run_chunk,
     report_to_dict,
     report_to_text,
-    run_variant,
     variant_label,
 )
 from oracles import ratio_and_front_oracle, run_mgd_oracle
@@ -45,10 +42,38 @@ def _dying_chunk(args):
 
 
 def _chunk_dying_in_first_variant(args):
-    _, _, params, dir_cfg, _ = args
+    _, _, params, dir_cfg, *_ = args
     if (params.variant, dir_cfg.variant) == (BacktrackVariant.BT_BASE, DirectionVariant.LP_BASE):
         os._exit(3)
     return _run_chunk(args)
+
+
+def _record_variants(monkeypatch) -> dict:
+    """Spy on ``harness.run_variant``: the dict it fills maps each
+    (backtracking, direction) an experiment runs to its (results, failures)."""
+    outcomes = {}
+    real = harness_mod.run_variant
+
+    def run_variant(config, direction, backtracking, *args, **kwargs):
+        outcome = real(config, direction, backtracking, *args, **kwargs)
+        outcomes[(backtracking, direction)] = outcome
+        return outcome
+
+    monkeypatch.setattr(harness_mod, "run_variant", run_variant)
+    return outcomes
+
+
+def _exploding_problem(fails):
+    """Fonseca-Fleming in 3 variables whose evaluator raises at the points
+    where ``fails`` holds, without batched kernels."""
+    base = problems_mod.fonseca_fleming(3)
+
+    def evaluator(x):
+        if fails(x):
+            raise RuntimeError("synthetic failure")
+        return base.evaluator(x)
+
+    return dataclasses.replace(base, evaluator=evaluator, f_batch=None, jac_batch=None)
 
 
 class _TwoArgError(Exception):
@@ -102,6 +127,13 @@ class TestConfig:
         for max_iters in (0, -3):
             with pytest.raises(ValueError, match="max_iters"):
                 _small_config(max_iters=max_iters)
+        # Non-integer counts would fail late, in range(), numpy or SeedSequence.
+        for name in ("n_starts", "seed", "workers", "max_iters"):
+            for value in (2.5, 2.0):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    _small_config(**{name: value})
+        config = _small_config(n_starts=np.int64(2), seed=np.int64(1), max_iters=np.int64(3))
+        assert config.n_starts == 2
 
     def test_defaults_match_experiment_protocol(self):
         config = ExperimentConfig(problem="kursawe")
@@ -199,36 +231,36 @@ class TestRunExperiment:
         for x, f, (ex, ef) in zip(X, F, front):
             assert x.tobytes() == ex.tobytes() and f.tobytes() == ef.tobytes()
 
-    def test_failures_recorded_not_raised(self):
+    def test_failures_recorded_not_raised(self, monkeypatch):
         # An evaluator blowing up on some starts must not kill the
         # experiment; the report carries the failure count.
-        import mgdkit.problems as problems_mod
-
-        bad = problems_mod.fonseca_fleming(3)
-
-        def exploding(x):
-            if x[0] > 0:
-                raise RuntimeError("synthetic failure")
-            return bad.evaluator(x)
-
-        import dataclasses
-
-        broken = dataclasses.replace(bad, evaluator=exploding, f_batch=None, jac_batch=None)
-        original = problems_mod.PROBLEMS["fonseca-fleming"]
-        problems_mod.PROBLEMS["fonseca-fleming"] = lambda: broken
-        try:
-            report = run_experiment(_small_config(n_starts=6, max_iters=5))
-        finally:
-            problems_mod.PROBLEMS["fonseca-fleming"] = original
+        broken = _exploding_problem(lambda x: x[0] > 0)
+        monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: broken)
+        report = run_experiment(_small_config(n_starts=6, max_iters=5))
         for v in report.variants:
             assert v.failures > 0
             assert any("run" in msg for msg in v.failure_messages)
 
+    @pytest.mark.parametrize("fmt, front", [("csv", "x0,x1,x2,f0,f1\n"), ("json", "[]\n")])
+    def test_all_failed_variant_writes_empty_front(self, monkeypatch, tmp_path, fmt, front):
+        # When every run of a variant fails, its front is a table without
+        # rows: the CSV header alone, or an empty JSON list; no trace is written.
+        broken = _exploding_problem(lambda x: True)
+        monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: broken)
+        report = run_experiment(_small_config(n_starts=6, max_iters=5, out_dir=str(tmp_path),
+                                              emit_traces=True, trace_format=fmt))
+        assert [v.failures for v in report.variants] == [6] * 4
+        assert not list(tmp_path.glob("trace_*"))
+        fronts = sorted(tmp_path.glob("front_*"))
+        assert [p.suffix for p in fronts] == [f".{fmt}"] * 4
+        assert all(p.read_text() == front for p in fronts)
+
     @pytest.mark.parametrize("workers", [0, 2])
     def test_failures_match_one_start_oracle(self, monkeypatch, workers):
         # Runs that raise, or reach a non-finite value, at iteration 0 or
-        # later, or whose own Armijo ladder raises, fail with the messages
-        # they fail with alone; every other run is unaffected.
+        # later, or whose own Armijo ladder raises, fail with the exceptions
+        # they fail with alone, and the report gives their messages; every
+        # other run is unaffected.
         base = problems_mod.fonseca_fleming(3)
 
         def evaluator(x):
@@ -257,48 +289,44 @@ class TestRunExperiment:
         monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: faulty)
         config = _small_config(n_starts=32, seed=6, max_iters=30, workers=workers)
         starts = sample_starts(StartSampler(faulty.domain_box, 32, 6))
+        outcomes = _record_variants(monkeypatch)
+        report = run_experiment(config)
+        assert len(outcomes) == len(report.variants) == 4
         causes, late = set(), False
-        with (
-            ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-        ) as pool:
-            outcomes = {
-                (backtracking, direction): run_variant(
-                    config, direction, backtracking, starts, pool=pool
-                )
-                for backtracking in BacktrackVariant
-                for direction in DirectionVariant
-            }
-        for backtracking in BacktrackVariant:
-            for direction in DirectionVariant:
-                results, failures = outcomes[(backtracking, direction)]
-                messages = dict(failures)
-                params = config.backtrack_params(backtracking)
-                dir_cfg = config.direction_config(direction)
-                for j, x0 in enumerate(starts):
-                    try:
-                        expected = run_mgd_oracle(faulty, x0, params, dir_cfg, K=30,
-                                                  record_trace=False)
-                    except Exception as exc:
-                        assert results[j] is None
-                        assert messages[j] == f"run {j}: {exc}"
-                        causes.add(str(exc).split(": ", 1)[1].split()[0])
-                        late |= not str(exc).startswith("iteration 0:")
-                    else:
-                        assert j not in messages
-                        assert_same_run(results[j], expected)
+        for v in report.variants:
+            results, failures = outcomes[(v.backtracking, v.direction)]
+            params = config.backtrack_params(v.backtracking)
+            dir_cfg = config.direction_config(v.direction)
+            messages = {}
+            for j, x0 in enumerate(starts):
+                try:
+                    expected = run_mgd_oracle(faulty, x0, params, dir_cfg, K=30,
+                                              record_trace=False)
+                except Exception as exc:
+                    assert results[j] is None
+                    assert type(failures[j]) is type(exc)
+                    messages[j] = f"run {j}: {exc}"
+                    causes.add(str(exc).split(": ", 1)[1].split()[0])
+                    late |= not str(exc).startswith("iteration 0:")
+                else:
+                    assert j not in failures
+                    assert_same_run(results[j], expected)
+            assert list(failures) == list(messages)
+            assert v.failure_messages == tuple(messages.values())
         assert causes == {"synthetic", "ladder", "objective"} and late
 
     def test_dead_chunk_fails_each_of_its_runs(self, monkeypatch):
         monkeypatch.setattr(harness_mod, "_run_chunk", _dying_chunk)
-        config = _small_config(n_starts=5, workers=2)
-        starts = np.zeros((5, 3))
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            results, failures = run_variant(
-                config, DirectionVariant.LP_NEW, BacktrackVariant.BT_NEW, starts, pool=pool
-            )
+        outcomes = _record_variants(monkeypatch)
+        config = _small_config(n_starts=5, workers=2, directions=(DirectionVariant.LP_NEW,),
+                               backtrackings=(BacktrackVariant.BT_NEW,))
+        (v,) = run_experiment(config).variants
+        results, failures = outcomes[(BacktrackVariant.BT_NEW, DirectionVariant.LP_NEW)]
         assert results == [None] * 5
-        assert [j for j, _ in failures] == list(range(5))
-        for j, msg in failures:
+        assert list(failures) == list(range(5))
+        assert v.failure_causes == {"BrokenProcessPool": 5}
+        assert len(v.failure_messages) == 5
+        for j, msg in enumerate(v.failure_messages):
             assert msg.startswith(f"run {j}: ") and "terminated abruptly" in msg
 
     @staticmethod
@@ -401,16 +429,18 @@ class TestRunExperiment:
             assert v.failure_causes == {"_TwoArgError": v.failures}
             assert all(m.endswith(": ('E1', 'bad point')") for m in v.failure_messages)
 
-    def test_parallel_matches_serial(self, tmp_path):
-        # A 2-worker pool writes byte-identical front files and the same
-        # report.json as a serial run, apart from wall times and the
-        # echoed worker count.
+    def test_parallel_matches_serial(self, monkeypatch, tmp_path):
+        # A 2-worker pool, which also runs the traced runs, writes
+        # byte-identical front and trace files and the same report.json as
+        # a serial run, apart from wall times and the echoed worker count.
+        built = self._count_pools(monkeypatch)
+
         def outputs(problem, workers):
             out = tmp_path / f"{problem}-{workers}"
             run_experiment(
                 _small_config(
                     problem=problem, n_starts=12, seed=7, workers=workers,
-                    out_dir=str(out),
+                    out_dir=str(out), emit_traces=True,
                 )
             )
             report = json.loads((out / "report.json").read_text())
@@ -418,15 +448,18 @@ class TestRunExperiment:
             report["config"]["workers"] = 0
             for v in report["variants"]:
                 v["wall_time"] = 0.0
-            fronts = {p.name: p.read_bytes() for p in sorted(out.glob("front_*"))}
-            return report, fronts
+            paths = sorted([*out.glob("front_*"), *out.glob("trace_*")])
+            tables = {p.name: p.read_bytes() for p in paths}
+            return report, tables
 
         for problem in ("fonseca-fleming", "kursawe", "viennet"):
-            serial_report, serial_fronts = outputs(problem, 0)
-            pool_report, pool_fronts = outputs(problem, 2)
-            assert len(serial_fronts) == 4
-            assert pool_fronts == serial_fronts
+            serial_report, serial_tables = outputs(problem, 0)
+            pool_report, pool_tables = outputs(problem, 2)
+            assert sorted({name.split("_")[0] for name in serial_tables}) == ["front", "trace"]
+            assert len(serial_tables) == 4 * (1 + 12)
+            assert pool_tables == serial_tables
             assert pool_report == serial_report
+        assert len(built) == 3
 
 
 class TestPersistence:

@@ -319,6 +319,11 @@ class TestSampler:
             StartSampler(np.tile([0.0, 1.0], (2, 1)), 0, 0)
         with pytest.raises(ValueError):
             StartSampler(np.array([[1.0, 0.0]]), 1, 0)
+        # A non-integer count would fail late, in numpy; numpy integers pass.
+        for count in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                StartSampler(np.tile([0.0, 1.0], (2, 1)), count, 0)
+        assert StartSampler(np.tile([0.0, 1.0], (2, 1)), np.int64(2), 0).count == 2
 
     def test_non_finite_bounds_rejected(self):
         # Such a box would sample inf and nan coordinates.

@@ -9,8 +9,8 @@ render every value on its own, the latter from the tables' rows as dicts
 give the same text: ``_json_text`` for any payload (nested and empty
 containers, bools among ints, numpy scalars, signed zeros, infinities,
 nan, subnormals, strings that need escaping), ``_table_text`` for fronts
-and traces of any size, empty ones included, with such floats, ints of
-any size and every criticality case.
+and traces of any size, empty ones included (in CSV a header line alone),
+with such floats, ints of any size and every criticality case.
 """
 
 import numpy as np
@@ -76,14 +76,15 @@ PAYLOADS = st.recursive(
 @st.composite
 def tables(draw):
     """A front or a trace table as the program writes it, (columns, rows),
-    and its rows as dicts for the reference: k points of n variables and
-    m objectives, k = 0 included."""
+    and for the reference its CSV header and its rows as dicts: k points
+    of n variables and m objectives, k = 0 included."""
     n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 6))
     X = np.array(draw(st.lists(FLOATS, min_size=k * n, max_size=k * n))).reshape(k, n)
     F = np.array(draw(st.lists(FLOATS, min_size=k * m, max_size=k * m))).reshape(k, m)
     front, trace = _columns(n, m)
+    names = [f"x{i}" for i in range(n)] + [f"f{i}" for i in range(m)]
     if draw(st.booleans()):
-        return front, np.hstack([X, F]).tolist(), front_rows_oracle(X, F)
+        return front, np.hstack([X, F]).tolist(), names, front_rows_oracle(X, F)
     records = [
         TraceRecord(
             k=draw(INTS | KINDS["np.int64"]),
@@ -100,7 +101,8 @@ def tables(draw):
     result = RunResult(trace=records, x_hat=np.zeros(n), f_hat=np.zeros(m),
                        stored_x=np.empty((0, n)), stored_f=np.empty((0, m)),
                        termination=Termination.MAX_ITERS, iterations=k)
-    return trace, _trace_rows(result), trace_rows_oracle(result)
+    header = ["k", *names, "eta", "beta_star", "armijo_satisfied", "critical_case"]
+    return trace, _trace_rows(result), header, trace_rows_oracle(result)
 
 
 @settings(max_examples=400, deadline=None)
@@ -112,8 +114,8 @@ def test_json_text_matches_reference(payload, indent):
 @settings(max_examples=400, deadline=None)
 @given(tables(), st.sampled_from(["csv", "json"]))
 def test_table_text_matches_reference(table, fmt):
-    columns, rows, dict_rows = table
-    assert _table_text(columns, rows, fmt) == table_text_oracle(dict_rows, fmt)
+    columns, rows, header, dict_rows = table
+    assert _table_text(columns, rows, fmt) == table_text_oracle(header, dict_rows, fmt)
 
 
 def test_mask_table_matches_reference():
