@@ -17,14 +17,14 @@ class EvaluationError(RuntimeError):
         self.objective_index = objective_index
 
 
-def _check_integer(name: str, value, low: int) -> None:
+def _check_integer(name: str, value, low: Optional[int] = None) -> None:
     """Raise a ValueError unless ``value`` is an integer (one that
-    ``operator.index`` takes, numpy's too) of at least ``low``."""
+    ``operator.index`` takes, numpy's too) of at least ``low``, if given."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
 
 
@@ -55,15 +55,16 @@ class Problem:
     jac_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("problem dimensions must be >= 1")
+        _check_integer("n", self.n, 1)
+        _check_integer("m", self.m, 1)
+        _check_integer("default_max_iters", self.default_max_iters, 1)
         box = np.asarray(self.domain_box, dtype=float)
         if box.shape != (self.n, 2):
             raise ValueError(f"domain_box must have shape ({self.n}, 2)")
+        if not np.isfinite(box).all():
+            raise ValueError("domain_box bounds must be finite")
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("domain_box lower bounds must be < upper bounds")
-        if self.default_max_iters < 1:
-            raise ValueError("default_max_iters must be positive")
         object.__setattr__(self, "domain_box", box)
 
     def eval_f_batch(self, X: np.ndarray) -> np.ndarray:

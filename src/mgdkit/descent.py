@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -28,6 +28,7 @@ from .direction import (  # noqa: F401
     TOL_ZERO_DIR,
     CriticalityCase,
     DirectionConfig,
+    DirectionVariant,
     _solve_batch,
     solve_direction,
 )
@@ -235,26 +236,60 @@ def run_mgd_batch(
     K: Optional[int] = None,
     record_trace: bool = True,
 ) -> list[RunResult | Exception]:
-    """Run one multiple-gradient descent sequence from each row of ``X0``.
-
-    All live runs advance together: each iteration makes one batched
-    objective and one batched Jacobian call for the new iterates, one
-    direction call for the LPs of all live runs (``_solve_batch``, which
-    gives each run the direction it would get alone) and one objective
-    call for every run's Armijo ladder.  A run stops, fails or stores a
-    point without affecting the others, and every run follows exactly the
-    iterates it would follow alone.
-
-    Each stage (the direction, the ladder, the step) returns {row:
-    exception} of the runs it fails; those and the runs it stops leave the
-    live rows in one narrowing per stage.  Each iteration logs the points
-    it stores, and its trace rows, as one block of arrays for all runs.
-    After the loop each log is split by run once, and every run's stored
-    points are pruned to those that no stored point and not its final
-    point dominates.
+    """Run one multiple-gradient descent sequence from each row of ``X0``,
+    all with the direction LP of ``dir_cfg``: the one-variant case of
+    :func:`_lockstep`.
 
     Returns one entry per start: its :class:`RunResult`, or the exception
     that ended it, with the message prefixed by the iteration
+    ("iteration k: ...").
+    """
+    lp_new = np.full(len(X0), dir_cfg.variant is DirectionVariant.LP_NEW)
+    outcomes = _lockstep(problem, X0, lp_new, params, dir_cfg.epsilon, K, record_trace)
+    return outcomes[params.variant]
+
+
+def _lockstep(
+    problem: Problem,
+    X0: np.ndarray,
+    lp_new: np.ndarray,
+    params: BacktrackParams,
+    epsilon: float,
+    K: Optional[int] = None,
+    record_trace: bool = True,
+    cut: bool = False,
+) -> dict:
+    """Run one multiple-gradient descent sequence from each row of ``X0``,
+    with lp-new's direction LP where ``lp_new`` holds, else lp-base's, and
+    the backtracking of ``params``.
+
+    All live runs advance together: each iteration makes one batched
+    objective and one batched Jacobian call for the new iterates, one
+    direction call for the LPs of all live runs, of both kinds
+    (``_solve_batch``, which gives each run the direction it would get
+    alone) and one objective call for every run's Armijo ladder.  A run
+    stops, fails or stores a point without affecting the others, and every
+    run follows exactly the iterates it would follow alone.
+
+    Each stage (the direction, the ladder, the step) returns {row:
+    exception} of the runs it fails; those and the runs it stops leave the
+    live rows in one narrowing per stage, and a stage that fails and stops
+    none narrows nothing.  Each iteration logs the points it stores, and
+    its trace rows, as one block of arrays for all runs.  After the loop
+    each log is split by run once, and every run's stored points are
+    pruned to those that no stored point and not its final point dominates.
+
+    bt-base differs from bt-new only from a run's first iteration k whose
+    ladder finds no Armijo step: there bt-base stops, and bt-new takes the
+    fallback step.  With ``cut``, for bt-new ``params``, each run therefore
+    also ends its bt-base twin there: at its point and objectives at k,
+    with its trace up to k and a zero step at k, ``dominated-step`` after
+    k iterations and no stored points.  A run that ends before any such k
+    ends its twin the same way, without stored points.
+
+    Returns {params.variant: outcomes}, and with ``cut`` also {BT_BASE:
+    the twins' outcomes}: one entry per start, its :class:`RunResult` or
+    the exception that ended it, its message prefixed by the iteration
     ("iteration k: ...").
     """
     if K is None:
@@ -269,6 +304,7 @@ def run_mgd_batch(
     # Blocks of (runs, X, F) of the stored points and of
     # (runs, k, X, F, P, beta, eta, satisfied, cases) of the traced rows.
     stored_log, trace_log = [], []
+    cuts, uncut = {}, np.ones(len(X0), dtype=bool)  # {run: its twin's last TraceRecord}
 
     def log_trace(k, runs, X, F, P, beta, cases, eta, satisfied):
         if record_trace:
@@ -282,65 +318,87 @@ def run_mgd_batch(
             out[j] = x, f, termination, k
 
     def fail(k, errors):
-        # The live runs of the rows in errors fail; returns the mask of the others.
-        keep = np.ones(live.size, dtype=bool) if errors else everyone[: live.size]
+        # The live runs of the rows in errors fail; returns the mask of the
+        # others, or None when none fails.
+        if not errors:
+            return None
+        keep = np.ones(live.size, dtype=bool)
         for i, exc in errors.items():
             out[live[i]] = _at_iteration(k, exc)
             keep[i] = False
         return keep
 
     def stop(k, keep, mask, satisfied, termination):
-        # The kept runs where mask holds end at the current X and F, their
-        # iteration k logged as a zero step; returns the mask of the others.
-        mask = keep & mask
-        if np.count_nonzero(mask):
-            rows = _rows(mask, live, X, F, P, beta, cases)
-            log_trace(k, *rows, 0.0, satisfied)
-            end(*rows[:3], termination, k)
-            keep = keep & ~mask
-        return keep
+        # The kept runs (all for None) where mask holds end at the current X
+        # and F, their iteration k logged as a zero step; returns the mask
+        # of the others, or None when none has failed or stopped.
+        if keep is not None:
+            mask &= keep
+        if not np.count_nonzero(mask):
+            return keep
+        rows = _rows(mask, live, X, F, P, beta, cases)
+        log_trace(k, *rows, 0.0, satisfied)
+        end(*rows[:3], termination, k)
+        return ~mask if keep is None else keep & ~mask
 
     # X, F and J are never written once made: each iteration makes new
     # ones, so the rows logged and handed out as final points stay valid.
     live, X = np.arange(len(X0)), X0
-    everyone = np.ones(len(X0), dtype=bool)  # never written: fail's mask when none fails
     F, J, errors = _evaluate_rows(problem, X)
-    live, X, F, J = _rows(fail(0, errors), live, X, F, J)
+    keep = fail(0, errors)
+    if keep is not None:
+        live, X, F, J = _rows(keep, live, X, F, J)
 
     for k in range(K):
         if not live.size:
             break
         # The direction: a zero one stops its run.
-        (P, beta, cases, errors), _ = _solve_batch(J, dir_cfg.variant, dir_cfg.epsilon)
+        (P, beta, cases, errors), _ = _solve_batch(J, lp_new[live], epsilon)
         keep = fail(k, errors)
         if not paper:
             zero = np.abs(P).max(axis=1) <= TOL_ZERO_DIR
             keep = stop(k, keep, zero, True, Termination.ZERO_DIRECTION)
-        live, X, F, J, P, beta, cases = _rows(keep, live, X, F, J, P, beta, cases)
-        if not live.size:
-            break
+        if keep is not None:
+            live, X, F, J, P, beta, cases = _rows(keep, live, X, F, J, P, beta, cases)
+            if not live.size:
+                break
 
-        # The ladder: under bt-base a run without an Armijo step stops.
+        # The ladder: under bt-base a run without an Armijo step stops;
+        # under cut its first such step ends its twin.
         eta, sat, errors = _ladder_rows(problem, X, F, J, P, params)
         keep = fail(k, errors)
         if not bt_new:
             keep = stop(k, keep, ~sat, False, Termination.DOMINATED_STEP)
-        live, X, F, P, beta, cases, eta, sat = _rows(keep, live, X, F, P, beta, cases, eta, sat)
-        if not live.size:
-            break
+        elif cut:
+            first = ~sat & uncut[live]
+            if keep is not None:
+                first &= keep
+            for i in np.flatnonzero(first).tolist():
+                j = int(live[i])
+                uncut[j] = False
+                cuts[j] = TraceRecord(k, X[i], F[i], P[i], float(beta[i]), 0.0, False, cases[i])
+        if keep is not None:
+            live, X, F, P, beta, cases, eta, sat = _rows(keep, live, X, F, P, beta, cases, eta, sat)
+            if not live.size:
+                break
 
         # The step: a fallback step to a point the current one dominates stops its run.
         X_new = X + eta[:, None] * P
         F_new, J_new, errors = _evaluate_rows(problem, X_new)
         keep = fail(k, errors)
-        keep = stop(k, keep, ~sat & _dominates_rows(F, F_new), False, Termination.DOMINATED_STEP)
-        live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new = _rows(
-            keep, live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new
-        )
+        if not sat.all():
+            keep = stop(k, keep, ~sat & _dominates_rows(F, F_new), False,
+                        Termination.DOMINATED_STEP)
+        if keep is not None:
+            live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new = _rows(
+                keep, live, X, F, P, beta, cases, eta, sat, X_new, F_new, J_new
+            )
 
         if bt_new:
             # The points their successor does not dominate.
-            stored_log.append(_rows(~_dominates_rows(F_new, F), live, X, F))
+            store = ~_dominates_rows(F_new, F)
+            if np.count_nonzero(store):
+                stored_log.append(_rows(store, live, X, F))
         log_trace(k, live, X, F, P, beta, cases, eta, sat)
         X, F, J = X_new, F_new, J_new
         if not paper:
@@ -376,15 +434,29 @@ def run_mgd_batch(
             stored_x, stored_f = SX[keep], SF[keep]
         trace = [records[i] for i in trace_rows[j].tolist()]
         out[j] = RunResult(trace, x_hat, f_hat, stored_x, stored_f, termination, iterations)
-    return out
+    if not cut:
+        return {params.variant: out}
+    # The twins: a run's own outcome without stored points, or its cut.
+    twins = [
+        run if isinstance(run, Exception) or run.stored_x is nothing[0]
+        else RunResult(run.trace, run.x_hat, run.f_hat, *nothing, run.termination, run.iterations)
+        for run in out
+    ]
+    for j, last in cuts.items():
+        trace = [records[i] for i in trace_rows[j][: last.k].tolist()] + [last]
+        twins[j] = RunResult(trace if record_trace else [], last.x, last.f, *nothing,
+                             Termination.DOMINATED_STEP, last.k)
+    return {params.variant: out, BacktrackVariant.BT_BASE: twins}
 
 
 def _by_run(log: list, n_runs: int) -> tuple[list, list]:
     """The columns of a log of (runs, *columns) blocks, each concatenated
-    once, and the indices of each run's rows in them, in the order logged."""
+    once, and the indices of each run's rows in them, in the order logged.
+    Empties the log, so that its blocks are freed before the columns are read."""
     if not log:
         return [], [np.empty(0, dtype=int)] * n_runs
     runs, *columns = map(np.concatenate, zip(*log))
+    log.clear()
     order = np.argsort(runs, kind="stable")
     starts = np.searchsorted(runs, np.arange(1, n_runs), sorter=order)  # of runs 1, 2, ...
     return columns, np.split(order, starts)

@@ -6,15 +6,16 @@ anti-gradient sum, with normalized constraint rows and a gradient-scaled
 box).  Solutions are classified into one non-critical and three critical
 cases according to the geometry of the feasible non-ascent directions.
 
-Each LP is written once, on arrays of W Jacobians: ``_prepare`` states
-their data, ``_standard_form`` writes a direction LP, or a non-ascent
-cone LP of the classification, in the simplex's standard form, and
-``_simplex`` solves them, batched from ``_BATCH_MIN_WIDTH`` LPs on and
-one by one below.  ``_solve_batch`` is the direction step of a descent
-iteration, and ``solve_direction`` its one-Jacobian case.  The step
-classifies on arrays, in at most three ``_simplex`` calls: the direction
-LPs, lp-base's cone LPs, and the coordinate probes at p* = 0, where a
-row's first probe that finds a direction or fails decides its case.
+Each LP is written once, on arrays of W Jacobians, each row with its own
+variant: ``_prepare`` states their data, ``_standard_form`` writes a
+direction LP, or a non-ascent cone LP of the classification, in the
+simplex's standard form, and ``_simplex`` solves them, batched from
+``_BATCH_MIN_WIDTH`` LPs on and one by one below.  ``_solve_batch`` is
+the direction step of a descent iteration, and ``solve_direction`` its
+one-Jacobian case.  The step classifies on arrays, in at most three
+``_simplex`` calls: the direction LPs, lp-base's cone LPs, and the
+coordinate probes at p* = 0, where a row's first probe that finds a
+direction or fails decides its case.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def _sum_in_order(a: np.ndarray, axis: int) -> np.ndarray:
     return np.add.accumulate(a, axis=axis)[(slice(None),) * axis + (-1,)] + 0.0
 
 
-def _prepare(J: np.ndarray, variant: DirectionVariant, epsilon: float):
-    """The direction LPs of the Jacobians J (W, m, n), as arrays.
+def _prepare(J: np.ndarray, new: np.ndarray, epsilon: float):
+    """The direction LPs of the Jacobians J (W, m, n), as arrays; ``new``
+    (W,) marks the rows that take lp-new's LP, the others take lp-base's.
 
     Returns (g, keep, gamma, c_beta, G, c_p): the gradient sums (W, n),
     the mask (W, m) of the rows each LP keeps, the box half-width and
@@ -97,9 +99,6 @@ def _prepare(J: np.ndarray, variant: DirectionVariant, epsilon: float):
     same shape.
     """
     W, m, n = J.shape
-    if variant is DirectionVariant.LP_BASE:
-        g = _sum_in_order(J, 1)
-        return g, np.ones((W, m), dtype=bool), np.ones(W), np.ones(W), J, np.zeros((W, n))
     # The rows of J and g in one array, for their norms and largest entry.
     Jg = np.empty((W, m + 1, n))
     Jg[:, :m] = J
@@ -109,7 +108,13 @@ def _prepare(J: np.ndarray, variant: DirectionVariant, epsilon: float):
     gamma = np.abs(Jg).max(axis=(1, 2))
     keep = norms[:, :m] > TOL_GRAD
     G = np.where(keep[:, :, None], J / norms[:, :m, None], 0.0)
-    return g, keep, gamma, norms[:, m] + epsilon, G, g
+    c_beta, c_p = norms[:, m] + epsilon, g
+    if not new.all():
+        # The lp-base rows: each row's values depend on that row alone.
+        base = ~new
+        keep[base], gamma[base], c_beta[base], G[base] = True, 1.0, 1.0, J[base]
+        c_p = np.where(new[:, None], g, 0.0)
+    return g, keep, gamma, c_beta, G, c_p
 
 
 def _standard_form(c_p, G, box, c_beta=None, keep=None):
@@ -176,11 +181,13 @@ def _cone_minima(C: np.ndarray, G: np.ndarray, box: np.ndarray):
 
 def _solve_batch(
     J: np.ndarray,
-    variant: DirectionVariant = DirectionVariant.LP_NEW,
+    variant=DirectionVariant.LP_NEW,
     epsilon: float = 1.0,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, dict], Optional[tuple]]:
     """The direction step of one descent iteration: the direction LP of
-    each Jacobian of ``J`` (W, m, n), solved and classified.
+    each Jacobian of ``J`` (W, m, n), solved and classified.  ``variant``
+    is the DirectionVariant of every row, or a (W,) bool array that marks
+    the lp-new rows, the others being lp-base.
 
     Returns ((P (W, n), beta (W,), cases (W,), errors), lps): row w holds
     the p*, beta* and CriticalityCase of J[w], unless errors maps w to the
@@ -190,20 +197,25 @@ def _solve_batch(
     ``_prepare``, the rows kept, box and beta weight of each LP, or None
     when the Jacobians have no entries.
 
-    ``_prepare`` states the LPs, all of one shape, and one ``_simplex``
-    call solves them: an lp-new row dropped for its norm is a zero row,
-    and a Jacobian with every row dropped has no LP (critical-zero-only,
-    p* = 0).  Critical results (beta* >= -TOL_ZERO_DIR) are classified on
-    arrays by min g.p over the non-ascent cone, read off lp-new's LP value
-    and solved for lp-base in one call: below -TOL_ZERO_DIR it is
-    critical-non-null, else a p* off 0 is critical-perpendicular.  At
-    p* = 0 one call solves each row's 2n probes  min +-p_j  over the cone,
-    in the order +e_0, -e_0, +e_1, ...: the first to find a minimum below
-    -TOL_ZERO_DIR (critical-perpendicular) or to fail (its SolverFailure)
-    decides the row, and a row with neither is critical-zero-only.
+    ``_prepare`` states the LPs of both kinds, all of one shape, and one
+    ``_simplex`` call solves them: an lp-new row dropped for its norm is a
+    zero row, and a Jacobian with every row dropped has no LP
+    (critical-zero-only, p* = 0).  Critical results (beta* >= -TOL_ZERO_DIR)
+    are classified on arrays by min g.p over the non-ascent cone, read off
+    an lp-new row's LP value and solved for the lp-base rows in one call:
+    below -TOL_ZERO_DIR it is critical-non-null, else a p* off 0 is
+    critical-perpendicular.  At p* = 0 one call solves each row's 2n
+    probes  min +-p_j  over the cone, in the order +e_0, -e_0, +e_1, ...:
+    the first to find a minimum below -TOL_ZERO_DIR (critical-perpendicular)
+    or to fail (its SolverFailure) decides the row, and a row with neither
+    is critical-zero-only.
     """
     J = np.asarray(J, dtype=float)
     W, m, n = J.shape
+    if isinstance(variant, DirectionVariant):
+        new = np.full(W, variant is DirectionVariant.LP_NEW)
+    else:
+        new = np.asarray(variant, dtype=bool)
     P, beta, cases, errors = np.zeros((W, n)), np.zeros(W), np.empty(W, dtype=object), {}
     if m == 0 or n == 0:
         errors = {w: ValueError(f"a Jacobian of shape {(m, n)} has no entries") for w in range(W)}
@@ -215,7 +227,7 @@ def _solve_batch(
             errors[int(rows[k])], cases[rows[k]], live[rows[k]] = exc, None, False
 
     with np.errstate(all="ignore"):
-        g, keep, gamma, c_beta, G, c_p = _prepare(J, variant, epsilon)
+        g, keep, gamma, c_beta, G, c_p = _prepare(J, new, epsilon)
         result = (P, beta, cases, errors), (keep, gamma, c_beta)
         # Rows still being classified: those with an LP (else p* = 0), then the critical.
         finite = np.isfinite(J).all(axis=(1, 2))
@@ -236,11 +248,11 @@ def _solve_batch(
         live &= ~(beta < -TOL_ZERO_DIR)
         if not live.any():
             return result
-        if variant is DirectionVariant.LP_NEW:
-            # min g.p over the cone: the LP's value less its beta term, rounded as the oracle's.
-            min_gp = (_sum_in_order(c_p * P, 1) + c_beta * beta) - c_beta * beta
-        else:
-            rows, min_gp = np.flatnonzero(live), np.zeros(W)
+        # min g.p over the cone: an lp-new row's LP value less its beta
+        # term, rounded as the oracle's; the lp-base rows solve their cone LP.
+        min_gp = (_sum_in_order(c_p * P, 1) + c_beta * beta) - c_beta * beta
+        rows = np.flatnonzero(live & ~new)
+        if rows.size:
             min_gp[rows], failures = _cone_minima(g.take(rows, 0), G.take(rows, 0), gamma[rows])
             fail(rows, failures)
         non_null = live & (min_gp < -TOL_ZERO_DIR)

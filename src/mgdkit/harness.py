@@ -7,7 +7,6 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import chain, islice
@@ -23,8 +22,8 @@ from .descent import (  # noqa: F401
     BacktrackVariant,
     RunResult,
     Termination,
+    _lockstep,
     run_mgd,
-    run_mgd_batch,
 )
 from .direction import DirectionConfig, DirectionVariant
 # nondominated_filter stays importable here: bench/instrument.py wraps harness.nondominated_filter.
@@ -112,37 +111,50 @@ def variant_label(direction: DirectionVariant, backtracking: BacktrackVariant) -
 def _ratio_and_front(results: list, n: int, m: int) -> tuple[float, np.ndarray, np.ndarray]:
     """A variant's Pareto ratio and its front's points (k, n) and
     objectives (k, m), from one non-dominance mask over every run's final
-    point followed by its stored points; a failed run (None) has none."""
-    xs = [np.concatenate((r.x_hat[None], r.stored_x)) if r else np.empty((0, n)) for r in results]
-    fs = [np.concatenate((r.f_hat[None], r.stored_f)) if r else np.empty((0, m)) for r in results]
-    ratio, mask = global_pareto_ratio(fs)
-    return ratio, np.concatenate(xs)[mask], np.concatenate(fs)[mask]
+    point followed by its stored points; a failed run (None) has none.
+    The union is concatenated once, and each run's rows are views of it."""
+    done = [r for r in results if r is not None]
+    X = np.concatenate([np.empty((0, n))] + [a for r in done for a in (r.x_hat[None], r.stored_x)])
+    F = np.concatenate([np.empty((0, m))] + [a for r in done for a in (r.f_hat[None], r.stored_f)])
+    ends = np.cumsum([0 if r is None else 1 + len(r.stored_f) for r in results])
+    ratio, mask = global_pareto_ratio(np.split(F, ends[:-1]))
+    return ratio, X[mask], F[mask]
 
 
 def _run_chunk(args):
-    problem_name, X0, params, dir_cfg, K, record_trace = args
-    return run_mgd_batch(get_problem(problem_name), X0, params, dir_cfg, K, record_trace)
+    """The runs of some of an experiment's rows, ``X0`` with lp-new where
+    ``lp_new`` holds, in one lockstep: {backtracking: per row its RunResult
+    or exception} for the backtrackings of ``config``, bt-base read off
+    bt-new when both are asked for."""
+    config, X0, lp_new, record_trace = args
+    bt_new = BacktrackVariant.BT_NEW in config.backtrackings
+    params = config.backtrack_params(BacktrackVariant.BT_NEW if bt_new else BacktrackVariant.BT_BASE)
+    cut = bt_new and BacktrackVariant.BT_BASE in config.backtrackings
+    return _lockstep(get_problem(config.problem), X0, lp_new, params, config.epsilon,
+                     config.max_iters, record_trace, cut)
 
 
-def _pooled(pool, jobs: list) -> list:
-    """The outcomes of ``_run_chunk`` over ``jobs`` in ``pool``, one per
-    start.  The runs of a job that dies, or that a broken pool refuses,
-    each fail with that cause."""
+def _pooled(pool, jobs: list) -> dict:
+    """The outcomes of ``_run_chunk`` over ``jobs`` in ``pool``, joined in
+    job order.  The rows of a job that dies, or that a broken pool
+    refuses, each fail with that cause in every backtracking."""
     futures = []
     for args in jobs:
         try:
             futures.append(pool.submit(_run_chunk, args))
         except Exception as exc:  # a broken pool takes no new jobs
             futures.append(exc)
-    outcomes: list = []
+    outcomes: dict = {b: [] for b in jobs[0][0].backtrackings}
     for args, fut in zip(jobs, futures):
         if not isinstance(fut, Exception):
             try:
-                outcomes.extend(fut.result())
+                for b, rows in fut.result().items():
+                    outcomes[b].extend(rows)
                 continue
             except Exception as exc:
                 fut = exc
-        outcomes.extend([fut] * len(args[1]))
+        for rows in outcomes.values():
+            rows.extend([fut] * len(args[1]))
     return outcomes
 
 
@@ -150,38 +162,36 @@ def run_variant(
     config: ExperimentConfig,
     direction: DirectionVariant,
     backtracking: BacktrackVariant,
-    starts: np.ndarray,
-    record_trace: bool = False,
-    pool: Optional[ProcessPoolExecutor] = None,
+    outcomes: dict,
 ) -> tuple[list, dict]:
-    """All runs of one variant over the shared starts, advanced in lockstep.
+    """One variant's share of an experiment's ``outcomes``: {backtracking:
+    per row its RunResult or exception}, one row per start and direction,
+    each start's ``config.directions`` in turn, as ``run_experiment`` runs
+    them.
 
-    Given a ``pool``, the starts are split into ``config.workers`` chunks,
-    one job each in it, else they run in-process; either way with traces
-    if ``record_trace``.  Returns (results, failures): per start its
-    :class:`RunResult`, None where the run failed, and {start index: the
-    exception that ended its run}.
+    Returns (results, failures): per start its :class:`RunResult`, None
+    where the run failed, and {start index: the exception that ended its
+    run}.
     """
-    job = (config.backtrack_params(backtracking), config.direction_config(direction),
-           config.max_iters, record_trace)
-    if pool is None:
-        outcomes = _run_chunk((config.problem, starts, *job))
-    else:
-        chunks = np.array_split(starts, config.workers)
-        outcomes = _pooled(pool, [(config.problem, X0, *job) for X0 in chunks if len(X0)])
-    failures = {j: e for j, e in enumerate(outcomes) if isinstance(e, Exception)}
-    return [None if j in failures else r for j, r in enumerate(outcomes)], failures
+    d = len(config.directions)
+    rows = outcomes[backtracking][config.directions.index(direction) :: d]
+    failures = {j: e for j, e in enumerate(rows) if isinstance(e, Exception)}
+    return [None if j in failures else r for j, r in enumerate(rows)], failures
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every requested variant over one shared list of start points.
 
-    Failed runs contribute no points; the report counts them by exception
-    type and keeps a message ``run j: <exception>`` for each.  With an
-    output directory configured, the report, the fronts (and traces, if
-    requested) are written there; traces are recorded only then.  With
-    ``config.workers > 1`` every variant, traced or not, runs in one
-    shared worker pool, which is replaced after a variant whose worker died.
+    The runs of all variants advance in one lockstep, one row per start
+    and direction: under bt-new, each row also ends its bt-base twin at
+    its first ladder failure, where bt-base stops.  A variant's
+    ``wall_time`` is therefore the lockstep's time plus its own ratio and
+    front.  Failed runs contribute no points; the report counts them by
+    exception type and keeps a message ``run j: <exception>`` for each.
+    With an output directory configured, the report, the fronts (and
+    traces, if requested) are written there; traces are recorded only
+    then.  With ``config.workers > 1`` the rows, traced or not, are split
+    into that many jobs of one worker pool per experiment.
     """
     problem = get_problem(config.problem)
     starts = sample_starts(
@@ -189,43 +199,44 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
     t_total = time.perf_counter()
+    traced = config.emit_traces and bool(config.out_dir)
+    # Each start's directions in turn, so that a chunk of rows holds both.
+    X0 = np.repeat(starts, len(config.directions), axis=0)
+    lp_new = np.tile([d is DirectionVariant.LP_NEW for d in config.directions], len(starts))
+    if config.workers > 1:
+        chunks = zip(np.array_split(X0, config.workers), np.array_split(lp_new, config.workers))
+        pool = ProcessPoolExecutor(max_workers=config.workers)
+        try:
+            outcomes = _pooled(pool, [(config, X, new, traced) for X, new in chunks if len(X)])
+        finally:
+            pool.shutdown()
+    else:
+        outcomes = _run_chunk((config, X0, lp_new, traced))
+    lockstep_time = time.perf_counter() - t_total
+
     variants = []
     all_results = {}
-    traced = config.emit_traces and bool(config.out_dir)
-    pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    try:
-        for backtracking in config.backtrackings:
-            for direction in config.directions:
-                t0 = time.perf_counter()
-                results, failures = run_variant(
-                    config, direction, backtracking, starts,
-                    record_trace=traced, pool=pool,
+    for backtracking in config.backtrackings:
+        for direction in config.directions:
+            t0 = time.perf_counter()
+            results, failures = run_variant(config, direction, backtracking, outcomes)
+            ratio, X, F = _ratio_and_front(results, problem.n, problem.m)
+            ends = Counter(r.termination for r in results if r is not None)
+            causes = Counter(type(e).__name__ for e in failures.values())
+            variants.append(
+                VariantResult(
+                    direction=direction,
+                    backtracking=backtracking,
+                    pareto_ratio=ratio,
+                    termination_counts={t.value: ends[t] for t in Termination},
+                    failures=len(failures),
+                    failure_messages=tuple(f"run {j}: {e}" for j, e in failures.items()),
+                    wall_time=lockstep_time + (time.perf_counter() - t0),
+                    failure_causes=dict(sorted(causes.items())),
                 )
-                errors = failures.values()
-                if pool is not None and any(isinstance(e, BrokenProcessPool) for e in errors):
-                    # A dead worker breaks the pool for good.
-                    pool.shutdown()
-                    pool = ProcessPoolExecutor(max_workers=config.workers)
-                ratio, X, F = _ratio_and_front(results, problem.n, problem.m)
-                ends = Counter(r.termination for r in results if r is not None)
-                causes = Counter(type(e).__name__ for e in errors)
-                variants.append(
-                    VariantResult(
-                        direction=direction,
-                        backtracking=backtracking,
-                        pareto_ratio=ratio,
-                        termination_counts={t.value: ends[t] for t in Termination},
-                        failures=len(failures),
-                        failure_messages=tuple(f"run {j}: {e}" for j, e in failures.items()),
-                        wall_time=time.perf_counter() - t0,
-                        failure_causes=dict(sorted(causes.items())),
-                    )
-                )
-                if config.out_dir:
-                    all_results[(direction, backtracking)] = (results, X, F)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
+            if config.out_dir:
+                all_results[(direction, backtracking)] = (results, X, F)
 
     report = ExperimentReport(
         problem=config.problem,

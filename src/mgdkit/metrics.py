@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Problem
+from .core import Problem, _check_integer
 from .direction import TOL_GRAD
 
 _SCAN_CHUNK = 4096  # grid cells per batched Jacobian call in critical_region_scan
@@ -162,7 +162,9 @@ def critical_region_scan(
     n = box.shape[0]
     if n != problem.n:
         raise ValueError("box dimension must match the problem")
-    resolution = [int(r) for r in resolution]
+    for r in resolution:
+        _check_integer("resolution", r)
+    resolution = [operator.index(r) for r in resolution]
     if len(resolution) != n or any(r < 2 for r in resolution):
         raise ValueError("resolution needs >= 2 cells per axis")
     try:

@@ -53,6 +53,30 @@ class TestProblemInvariants:
             )
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.0), ("m", 2.0), ("n", "2"), ("default_max_iters", 2.5), ("default_max_iters", 0)],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        # A float size or budget is rejected here, not when a run first uses it.
+        values = dict(name="bad", n=2, m=2, evaluator=lambda x: (np.zeros(2), np.zeros((2, 2))),
+                      domain_box=np.tile([-1.0, 1.0], (2, 1)), default_max_iters=10)
+        values[field] = value
+        with pytest.raises(ValueError, match=field):
+            Problem(**values)
+        values[field] = np.int64(2)
+        assert Problem(**values).n == 2
+
+    @pytest.mark.parametrize("corner, bound", [((1, 1), np.inf), ((0, 0), -np.inf), ((1, 0), np.nan)])
+    def test_box_must_be_finite(self, corner, bound):
+        # An infinite box is rejected here, not first by a start sampler.
+        box = np.tile([-1.0, 1.0], (2, 1))
+        box[corner] = bound
+        with pytest.raises(ValueError, match="finite"):
+            Problem(name="bad", n=2, m=2, evaluator=lambda x: (np.zeros(2), np.zeros((2, 2))),
+                    domain_box=box, default_max_iters=10)
+
+
 class TestEvaluate:
     def test_fonseca_fleming_origin(self):
         prob = get_problem("fonseca-fleming")

@@ -27,7 +27,7 @@ from mgdkit import (
     StartSampler,
 )
 import mgdkit.descent as descent_mod
-from mgdkit.descent import TraceRecord
+from mgdkit.descent import TraceRecord, _lockstep
 from mgdkit.direction import _BATCH_MIN_WIDTH, _solve_batch
 from oracles import SegmentKind, classify_subsequences, run_mgd_oracle
 
@@ -442,6 +442,99 @@ class TestLockstep:
     def test_no_starts(self):
         prob = get_problem("kursawe")
         assert run_mgd_batch(prob, np.zeros((0, 3)), BacktrackParams(), LP_NEW, K=5) == []
+
+
+def assert_same_outcome(got, expected):
+    """A RunResult as assert_same_run checks it, or the same exception type and message."""
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert_same_run(got, expected)
+
+
+def _twins(prob, starts, K, paper=False, record=True):
+    """One lockstep of each start under lp-base and lp-new (rows direction
+    by direction): its bt-new outcomes with the bt-base twins read off
+    them, the bt-new-only outcomes and the bt-base-only outcomes."""
+    X0 = np.tile(starts, (2, 1))
+    lp_new = np.repeat([False, True], len(starts))
+    new, base = (BacktrackParams(variant=v, paper_semantics=paper)
+                 for v in (BacktrackVariant.BT_NEW, BacktrackVariant.BT_BASE))
+    both = _lockstep(prob, X0, lp_new, new, 1.0, K, record, cut=True)
+    new_alone = _lockstep(prob, X0, lp_new, new, 1.0, K, record)
+    base_alone = _lockstep(prob, X0, lp_new, base, 1.0, K, record)
+    assert list(new_alone) == [BacktrackVariant.BT_NEW]
+    assert list(base_alone) == [BacktrackVariant.BT_BASE]
+    return both, new_alone[BacktrackVariant.BT_NEW], base_alone[BacktrackVariant.BT_BASE]
+
+
+class TestBtBaseTwins:
+    def test_twins_equal_bt_base_runs(self):
+        # Every bt-base result read off a bt-new row equals that start's
+        # bt-base-only run, and the bt-new results equal the bt-new-only
+        # runs, on every problem, traced or not, under the paper's
+        # semantics too.  The twins cover ladder failures at k = 0 and
+        # later, and runs that end on a zero direction or at the budget
+        # before any ladder failure, some of whose bt-new runs store points
+        # that their twins do not.
+        seen = set()
+        for name, K, paper, record in itertools.product(
+            sorted(PROBLEMS), (3, 40), (False, True), (True, False)
+        ):
+            prob = get_problem(name)
+            starts = sample_starts(StartSampler(prob.domain_box, 12, 3))
+            both, new_alone, base_alone = _twins(prob, starts, K, paper, record)
+            for new, twin, expected_new, expected in zip(
+                both[BacktrackVariant.BT_NEW], both[BacktrackVariant.BT_BASE], new_alone, base_alone
+            ):
+                assert_same_outcome(new, expected_new)
+                assert_same_outcome(twin, expected)
+                if expected.termination is Termination.DOMINATED_STEP:
+                    seen.add("cut at 0" if expected.iterations == 0 else "cut later")
+                else:
+                    seen.add(expected.termination)
+                    if len(new.stored_x):
+                        seen.add("stored points left out")
+        assert seen == {"cut at 0", "cut later", Termination.ZERO_DIRECTION,
+                        Termination.MAX_ITERS, "stored points left out"}
+
+    def test_failures_before_and_after_the_cut(self):
+        # A run that fails before its first ladder failure fails in both
+        # results; one that fails after it fails only its bt-new result,
+        # and its twin is still cut there.  The failures come from a point
+        # each run reaches, at iteration 0 and one past its cut.
+        prob = get_problem("fonseca-fleming")
+        starts = sample_starts(StartSampler(prob.domain_box, 12, 3))
+        clean, _, _ = _twins(prob, starts, 40)
+        cuts = [twin.iterations for twin in clean[BacktrackVariant.BT_BASE]]
+        traces = [run.trace for run in clean[BacktrackVariant.BT_NEW]]
+        before = next(j for j, k in enumerate(cuts) if k >= 2)
+        after = next(j for j, k in enumerate(cuts) if j != before and len(traces[j]) > k + 2)
+        bad = {traces[before][1].x.tobytes(), traces[after][cuts[after] + 2].x.tobytes()}
+
+        def check(X):
+            if any(x.tobytes() in bad for x in np.atleast_2d(X)):
+                raise RuntimeError("bad point")
+
+        faulty = dataclasses.replace(
+            prob,
+            evaluator=lambda x: check(x) or prob.evaluator(x),
+            f_batch=lambda X: check(X) or prob.f_batch(X),
+            jac_batch=lambda X: check(X) or prob.jac_batch(X),
+        )
+        both, new_alone, base_alone = _twins(faulty, starts, 40)
+        news, twins = both[BacktrackVariant.BT_NEW], both[BacktrackVariant.BT_BASE]
+        for outcomes in zip(news, twins, new_alone, base_alone):
+            new, twin, expected_new, expected = outcomes
+            assert_same_outcome(new, expected_new)
+            assert_same_outcome(twin, expected)
+        failed = {j for j, run in enumerate(news) if isinstance(run, Exception)}
+        assert failed == {before, after}
+        assert str(news[before]) == "iteration 0: bad point"
+        assert twins[before] is news[before]
+        assert str(news[after]) == f"iteration {cuts[after] + 1}: bad point"
+        assert twins[after].termination is Termination.DOMINATED_STEP
+        assert twins[after].iterations == cuts[after]
 
 
 def _rec(k, eta, satisfied, case):

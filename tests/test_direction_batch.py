@@ -301,3 +301,65 @@ class TestClassificationOnArrays:
                 assert str(errors[w]) == case and cases[w] is None
             else:
                 assert w not in errors and cases[w] is case
+
+
+def assert_same_row(solved, w, alone, i):
+    """Row w of one _solve_batch result against row i of another, bit for bit."""
+    P, beta, cases, errors = solved
+    P1, beta1, cases1, errors1 = alone
+    if i in errors1:
+        assert type(errors[w]) is type(errors1[i]) and str(errors[w]) == str(errors1[i])
+        return
+    assert w not in errors, errors[w]
+    assert P[w].tobytes() == P1[i].tobytes()
+    assert repr(float(beta[w])) == repr(float(beta1[i]))
+    assert cases[w] is cases1[i]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMixedVariants:
+    def test_mixed_batch_equals_one_variant_calls(self, monkeypatch):
+        # A batch whose rows each take lp-base's LP or lp-new's gives every
+        # row what the one-variant call on the rows of its kind gives it,
+        # bit for bit, at widths 1-40 (across _BATCH_MIN_WIDTH), in at most
+        # three _simplex calls.  Every fourth Jacobian is at a zero vertex,
+        # so lp-base rows need cone LPs and rows of both kinds need probes;
+        # the batches of 16 rows and more solve their LPs in one batched
+        # simplex, and the one-variant calls below that width do not.
+        calls = []
+        simplex = direction_mod._simplex
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return simplex(*args)
+
+        monkeypatch.setattr(direction_mod, "_simplex", spy)
+        three_calls = 0
+        for width in range(1, 41):
+            rng = np.random.default_rng(width)
+            J = random_jacobians(rng, width, 3, 2, rng.uniform(-4.0, 4.0))
+            J[::4] = ZERO_ONLY_JAC
+            J[2::4] = PERPENDICULAR_JAC
+            new = rng.random(width) < 0.5
+            calls.clear()
+            mixed, _ = _solve_batch(J, new)
+            assert len(calls) <= 3
+            three_calls += len(calls) == 3
+            for variant, rows in ((DirectionVariant.LP_NEW, np.flatnonzero(new)),
+                                  (DirectionVariant.LP_BASE, np.flatnonzero(~new))):
+                if rows.size:
+                    alone, _ = _solve_batch(J[rows], variant)
+                    for i, w in enumerate(rows.tolist()):
+                        assert_same_row(mixed, w, alone, i)
+        assert three_calls > 20
+
+    def test_mask_of_one_kind_equals_the_variant(self):
+        # An all-True or all-False mask is the lp-new or lp-base call.
+        J = random_jacobians(np.random.default_rng(3), 24, 3, 2, 0.0)
+        J[::4] = ZERO_ONLY_JAC
+        for variant in DirectionVariant:
+            mask = np.full(len(J), variant is DirectionVariant.LP_NEW)
+            by_mask, _ = _solve_batch(J, mask)
+            by_variant, _ = _solve_batch(J, variant)
+            for w in range(len(J)):
+                assert_same_row(by_mask, w, by_variant, w)

@@ -86,9 +86,9 @@ def test_outputs_match_recorded_digests(tmp_path):
 
 
 def test_pooled_traces_match_recorded_digests(tmp_path, monkeypatch):
-    # The table1 command in a 2-worker pool, two traced jobs per variant,
-    # writes the recorded serial fronts and traces byte for byte (its
-    # reports echo the worker count).
+    # The table1 command in a 2-worker pool, two traced jobs per problem,
+    # one per worker, writes the recorded serial fronts and traces byte
+    # for byte (its reports echo the worker count).
     jobs = []
 
     class CountingPool(harness.ProcessPoolExecutor):
@@ -100,7 +100,7 @@ def test_pooled_traces_match_recorded_digests(tmp_path, monkeypatch):
     subdir, *argv = COMMANDS[0]
     argv[argv.index("--workers") + 1] = "2"
     assert main([*argv, "--out", str(tmp_path / subdir)]) == EXIT_OK
-    assert len(jobs) == 3 * 4 * 2
+    assert len(jobs) == 3 * 2
     with open(GOLDEN) as fh:
         expected = {k: v for k, v in json.load(fh).items()
                     if k.startswith(f"{subdir}/") and "/report." not in k}

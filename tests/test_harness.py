@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -41,11 +42,23 @@ def _dying_chunk(args):
     os._exit(3)  # a worker that dies in the middle of its job
 
 
-def _chunk_dying_in_first_variant(args):
-    _, _, params, dir_cfg, *_ = args
-    if (params.variant, dir_cfg.variant) == (BacktrackVariant.BT_BASE, DirectionVariant.LP_BASE):
+def _second_chunk_dying(args):
+    """Two jobs of 5 starts' rows, each start's lp-base row then its lp-new
+    row: the first job (rows 0-4) runs, and the worker of the second
+    (rows 5-9, whose first row is an lp-new row) dies once the first has
+    returned, marked by a file next to the output directory, so that the
+    broken pool fails only the second job."""
+    config, _, lp_new, _ = args
+    done = config.out_dir + ".first-done"
+    if lp_new[0]:
+        deadline = time.monotonic() + 60.0
+        while not os.path.exists(done) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # the first job's result reaches the pool first
         os._exit(3)
-    return _run_chunk(args)
+    outcomes = _run_chunk(args)
+    open(done, "w").close()
+    return outcomes
 
 
 def _record_variants(monkeypatch) -> dict:
@@ -361,26 +374,35 @@ class TestRunExperiment:
         assert len(built) == 2
         assert reports[1] == reports[0]
 
-    def test_broken_pool_is_replaced(self, monkeypatch, tmp_path):
-        # The first variant's jobs die and break the shared pool: its runs
-        # fail with that cause, and the later variants run in a new pool.
-        monkeypatch.setattr(harness_mod, "_run_chunk", _chunk_dying_in_first_variant)
+    def test_dead_worker_fails_its_chunk_in_every_variant(self, monkeypatch, tmp_path):
+        # The rows, each start's lp-base and lp-new row in turn, are split
+        # into one job per worker.  The second job's worker dies and breaks
+        # the pool: its runs (lp-base's of starts 3-4, lp-new's of starts
+        # 2-4) fail with that cause under both backtrackings, the first
+        # job's do not, and the next experiment gets a new pool.
+        monkeypatch.setattr(harness_mod, "_run_chunk", _second_chunk_dying)
         built = self._count_pools(monkeypatch)
+        outcomes = _record_variants(monkeypatch)
         out = tmp_path / "exp"
         report = run_experiment(_small_config(n_starts=5, workers=2, out_dir=str(out)))
-        first, *later = report.variants
-        assert first.failures == 5
-        assert first.failure_causes == {"BrokenProcessPool": 5}
-        assert all("terminated abruptly" in msg for msg in first.failure_messages)
-        assert [(v.failures, v.failure_causes) for v in later] == [(0, {})] * 3
-        assert len(built) == 2
+        dead = {DirectionVariant.LP_BASE: [3, 4], DirectionVariant.LP_NEW: [2, 3, 4]}
+        for v in report.variants:
+            results, failures = outcomes[(v.backtracking, v.direction)]
+            assert list(failures) == dead[v.direction]
+            assert [r is None for r in results] == [j in failures for j in range(5)]
+            assert v.failure_causes == {"BrokenProcessPool": len(failures)}
+            assert all("terminated abruptly" in msg for msg in v.failure_messages)
         parsed = json.loads((out / "report.json").read_text())
         assert [v["failure_causes"] for v in parsed["variants"]] == [
-            {"BrokenProcessPool": 5}, {}, {}, {}
-        ]
+            {"BrokenProcessPool": 2}, {"BrokenProcessPool": 3}
+        ] * 2
         text = (out / "report.txt").read_text()
-        assert "failure_causes.bt-base_lp-base.BrokenProcessPool = 5" in text
-        assert "failure_causes.bt-base_lp-new" not in text
+        assert "failure_causes.bt-base_lp-base.BrokenProcessPool = 2" in text
+        assert "failure_causes.bt-new_lp-new.BrokenProcessPool = 3" in text
+        monkeypatch.setattr(harness_mod, "_run_chunk", _run_chunk)
+        report = run_experiment(_small_config(n_starts=5, workers=2))
+        assert [v.failures for v in report.variants] == [0] * 4
+        assert len(built) == 2
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_failure_causes_counted_by_type(self, monkeypatch, tmp_path, workers):

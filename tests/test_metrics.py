@@ -206,6 +206,12 @@ class TestCriticalRegionScan:
             critical_region_scan(prob, prob.domain_box, [1, 8], (1, 2), 1e-3)
         with pytest.raises(ValueError):
             critical_region_scan(prob, prob.domain_box, [8], (1, 2), 1e-3)
+        # A cell count is an integer: 2.5 and 3.9 are not truncated to a 2x3 grid.
+        for resolution in ([2.5, 3.9], [8, 8.0], ["8", 8]):
+            with pytest.raises(ValueError, match="resolution must be an integer"):
+                critical_region_scan(prob, prob.domain_box, resolution, (1, 2), 1e-3)
+        mask = critical_region_scan(prob, prob.domain_box, np.int64([2, 3]), (1, 2), 1e-3)
+        assert mask.shape == (2, 3)
 
     @pytest.mark.parametrize("tol, tol_grad", [(np.nan, 1e-12), (1e-3, np.nan), (1e-3, np.inf)])
     def test_tolerance_validation(self, tol, tol_grad):
