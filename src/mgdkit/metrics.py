@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -18,15 +17,22 @@ _SCAN_CHUNK = 4096  # grid cells per batched Jacobian call in critical_region_sc
 def nondominated_mask(F: np.ndarray) -> np.ndarray:
     """Boolean mask of rows of F not dominated by any other row.
 
-    Equal duplicate rows all survive (equality is not domination).  Uses
-    sweep algorithms for m <= 3 (sort by the first objective, then check
-    each point against the minima of the points before it); falls back to
-    pairwise comparison for larger m.
+    Equal duplicate rows all survive (equality is not domination), and
+    -0.0 equals 0.0.  Rows may hold +-inf; a NaN, or F with no columns,
+    raises ValueError.  The rows are sorted lexicographically, so that
+    every dominator of a row comes before it.  For m = 2 a running minimum
+    of f2 answers every row; for m = 3 divide and conquer by levels over
+    the (f2, f3) ranks does, with one sort per level; larger m compares
+    each row with all others.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2:
         raise ValueError("F must be a 2-d array of objective rows")
     M, m = F.shape
+    if m == 0:
+        raise ValueError("F must have at least one objective column")
+    if np.isnan(F).any():
+        raise ValueError("F must not hold NaN")
     if M == 0:
         return np.zeros(0, dtype=bool)
     if m == 1:
@@ -63,34 +69,32 @@ def _mask_sorted_2d(Fs: np.ndarray) -> np.ndarray:
 
 
 def _mask_sorted_3d(Fs: np.ndarray) -> np.ndarray:
-    # Sweep in lexicographic order keeping a staircase of the (f2, f3)
-    # minima of the rows seen so far: keys ascending in f2, values
-    # strictly descending in f3.  A row is dominated iff the staircase
-    # entry with the largest f2 <= its f2 has f3 <= its f3.  Rows of an
-    # equality group are queried before any of them is inserted.
-    M = Fs.shape[0]
-    mask = np.ones(M, dtype=bool)
-    keys: list[float] = []  # f2, ascending
-    vals: list[float] = []  # f3, strictly descending
-    rows = Fs.tolist()
-    i = 0
-    while i < M:
-        j = i + 1
-        while j < M and rows[j] == rows[i]:
-            j += 1
-        _, f2, f3 = rows[i]
-        pos = bisect_right(keys, f2) - 1
-        if pos >= 0 and vals[pos] <= f3:
-            mask[i:j] = False
-        else:
-            ins = bisect_left(keys, f2)
-            end = ins
-            while end < len(keys) and vals[end] >= f3:
-                end += 1
-            keys[ins:end] = [f2]
-            vals[ins:end] = [f3]
-        i = j
-    return mask
+    # A row is dominated iff some row before its equality group has f2 <=
+    # and f3 <= its own.  Divide and conquer by levels over each group's
+    # first row (Kung, Luccio & Preparata 1975): at block size s every right
+    # half-block queries its left sibling, all blocks in one sort.
+    g = _group_starts(Fs)
+    first = np.flatnonzero(g == np.arange(len(g)))
+    K = len(first)
+    # Ranks shared by equal values, so -0.0 and 0.0 tie.
+    r2, r3 = (np.searchsorted(np.sort(c), c) for c in Fs[first, 1:].T)
+    idx = np.arange(K)
+    dominated = np.zeros(K, dtype=bool)
+    s = 1
+    while s < K:
+        bk, right = idx // (2 * s) * K, (idx & s) > 0
+        # Timsort ("stable") gains from the near-sorted keys of low levels.
+        order = np.argsort((bk + r2) * 2 + right, kind="stable")
+        # Left rows' f3 ranks, offset by block so that no earlier block's
+        # can win the running minimum; right rows enter it as K, above all.
+        rank = (r3 - bk)[order]
+        right = right[order]
+        best = np.minimum.accumulate(np.where(right, K, rank))
+        dominated[order] |= right & (best <= rank)
+        s *= 2
+    keep = np.ones(len(Fs), dtype=bool)
+    keep[first] = ~dominated
+    return keep[g]
 
 
 def _mask_sorted_generic(Fs: np.ndarray) -> np.ndarray:

@@ -33,15 +33,38 @@ VALUES = st.one_of(
 @st.composite
 def objective_rows(draw):
     """A (k, m) array, m = 1..4, holding copies of some of its own rows,
-    each exact or with the sign of its zeros flipped (an equal row)."""
+    each exact or with the sign of its zeros flipped (an equal row).
+
+    k is drawn first, up to 130 rows, so that the 3-objective mask's
+    levels reach block size 128; a list's own size would stay short."""
     m = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(VALUES, min_size=m, max_size=m), max_size=40))
+    k = draw(st.integers(0, 130))
+    rows = draw(st.lists(st.lists(VALUES, min_size=m, max_size=m), min_size=k, max_size=k))
     if rows:
         for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=5)):
             flip = draw(st.booleans())
             copy = [-v if flip and v == 0 else v for v in rows[i]]
             rows.insert(draw(st.integers(0, len(rows))), copy)
     return np.array(rows, dtype=float).reshape(-1, m)
+
+
+def _edge_ties():
+    """130 rows in lexicographic order, row i = (i, -floor((i+1)/2), floor(i/2)):
+    rows 2j+1 and 2j+2 share f2 and rows 2j and 2j+1 share f3, so a tie lies
+    across every block edge of the 3-objective mask, and row 2j+2 is
+    dominated only by row 2j+1.  Equal rows on both sides of edges 64 and
+    128, -0.0 (row 0's f2) and rows with f1 = inf, which sort last and so
+    keep the edges in place, ride along."""
+    i = np.arange(130, dtype=float)
+    F = np.column_stack([i, -np.floor((i + 1) / 2), np.floor(i / 2)])
+    inf = [[np.inf, -np.inf, 0.0], [np.inf, 0.0, -np.inf], [np.inf, np.inf, np.inf]]
+    return np.vstack([F, inf, F[[5, 63, 64, 127, 128]]])
+
+
+# Mostly dominated: 200 rows over seven values, many of them equal; 7 survive.
+_CROWDED = np.random.Generator(np.random.Philox(8)).choice(
+    [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf], size=(200, 3)
+)
 
 
 class TestNondominatedFilter:
@@ -72,8 +95,12 @@ class TestNondominatedFilter:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_mask_matches_brute_force(self, m):
         rng = np.random.Generator(np.random.Philox(42 + m))
-        for _ in range(20):
-            size = int(rng.integers(1, 80))
+        # For m = 3, sets whose last block at a level is one short of full,
+        # full, and one over.
+        extra = [63, 64, 65, 127, 128, 129, 255, 256, 257] if m == 3 else []
+        for size in [None] * 20 + extra:
+            if size is None:
+                size = int(rng.integers(1, 80))
             F = np.round(rng.normal(size=(size, m)), 1)  # rounding forces ties
             assert np.array_equal(nondominated_mask(F), nondominated_mask_oracle(F))
 
@@ -82,14 +109,49 @@ class TestNondominatedFilter:
     # A first row with f2 = +inf is not dominated by anything before it.
     @example(np.array([[0.0, np.inf]]))
     @example(np.array([[0.0, np.inf], [1.0, np.inf]]))
+    @example(_edge_ties())
+    @example(_CROWDED)
     def test_mask_matches_pairwise_oracle(self, F):
         mask = nondominated_mask(F)
         assert mask.dtype == bool and mask.shape == (len(F),)
         assert np.array_equal(mask, nondominated_mask_oracle(F))
 
+    def test_antichain_with_dominated_copies(self):
+        # An exact antichain of 2**17 + 3 rows (u, t, 1 - t), with t distinct
+        # multiples of 2**-18 so that 1 - t is exact.  A copy of every 10th
+        # row, f1 raised and f3 raised by less than the spacing of t, is
+        # dominated by its own row alone, which sorts anywhere before it.
+        rng = np.random.Generator(np.random.Philox(17))
+        k = 2**17 + 3
+        t = rng.permutation(k) / 2.0**18
+        front = np.column_stack([rng.integers(0, 1000, k).astype(float), t, 1.0 - t])
+        copies = front[::10].copy()
+        copies[:, 0] += rng.integers(0, 1000, len(copies))
+        copies[:, 2] += 2.0**-20
+        perm = rng.permutation(k + len(copies))
+        expected = np.arange(k + len(copies)) < k
+        mask = nondominated_mask(np.vstack([front, copies])[perm])
+        assert np.array_equal(mask, expected[perm])
+
     def test_mask_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             nondominated_mask(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "F",
+        [
+            np.zeros((3, 0)),
+            [[np.nan], [1.0], [2.0]],
+            [[0.0, np.nan], [1.0, 1.0], [2.0, 2.0]],
+            [[0.0, 0.0, np.nan], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+        ],
+        ids=["m0", "m1", "m2", "m3"],
+    )
+    def test_mask_rejects_nan_and_no_objectives(self, F):
+        # A NaN compares false both ways: the pairwise relation keeps its
+        # row, while a running minimum carries it to every later row.
+        with pytest.raises(ValueError):
+            nondominated_mask(np.array(F, dtype=float))
 
 
 def _runs(*fs):
@@ -124,6 +186,10 @@ class TestGlobalParetoRatio:
         ratio, mask = global_pareto_ratio(_runs([], []))
         assert ratio == 0.0
         assert mask.shape == (0,)
+
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            global_pareto_ratio(_runs([[0.0, np.nan]], [[1.0, 1.0]], [[2.0, 2.0]]))
 
     def test_at_least_one_run_required(self):
         with pytest.raises(ValueError):
