@@ -62,7 +62,7 @@ def _add_common(p: _Parser, one_problem: bool = True):
         p.add_argument("--format", dest="trace_format", choices=["csv", "json"],
                        help="trace/front file format"),
         p.add_argument("--workers", type=int,
-                       help="pool jobs the starts are split into (default: cores)"),
+                       help="jobs the runs are split into, one in-process (default: cores)"),
         p.add_argument(
             "--paper-semantics",
             action="store_true",

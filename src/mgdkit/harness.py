@@ -7,6 +7,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from itertools import chain, islice
@@ -51,7 +52,7 @@ class ExperimentConfig:
     emit_traces: bool = False
     trace_format: str = "csv"
     paper_semantics: bool = False
-    workers: int = 0  # 0 or 1: in-process; >1: the starts in that many pool jobs
+    workers: int = 0  # jobs the rows are split into: one in-process, the rest in a pool
 
     def __post_init__(self):
         _check_integer("n_starts", self.n_starts, 1)
@@ -134,27 +135,30 @@ def _run_chunk(args):
                      config.max_iters, record_trace, cut)
 
 
-def _pooled(pool, jobs: list) -> dict:
-    """The outcomes of ``_run_chunk`` over ``jobs`` in ``pool``, joined in
-    job order.  The rows of a job that dies, or that a broken pool
-    refuses, each fail with that cause in every backtracking."""
-    futures = []
-    for args in jobs:
-        try:
-            futures.append(pool.submit(_run_chunk, args))
-        except Exception as exc:  # a broken pool takes no new jobs
-            futures.append(exc)
+def _pooled(jobs: list) -> dict:
+    """The outcomes of ``_run_chunk`` over ``jobs``, joined in job order.
+    Job 0 runs in the calling process while a pool of ``len(jobs) - 1``
+    workers runs the others; a single job builds no pool.  The rows of a
+    job that raises, dies, or that a broken pool refuses, each fail with
+    that cause in every backtracking."""
     outcomes: dict = {b: [] for b in jobs[0][0].backtrackings}
-    for args, fut in zip(jobs, futures):
-        if not isinstance(fut, Exception):
+    pool = ProcessPoolExecutor(max_workers=len(jobs) - 1) if len(jobs) > 1 else nullcontext()
+    with pool:  # its workers end with the experiment, also when job 0 raises
+        futures = [None]  # job 0: run here, once the others are submitted
+        for args in jobs[1:]:
             try:
-                for b, rows in fut.result().items():
+                futures.append(pool.submit(_run_chunk, args))
+            except Exception as exc:  # a broken pool takes no new jobs
+                futures.append(exc)
+        for args, fut in zip(jobs, futures):
+            try:
+                if isinstance(fut, Exception):
+                    raise fut
+                for b, rows in (_run_chunk(args) if fut is None else fut.result()).items():
                     outcomes[b].extend(rows)
-                continue
             except Exception as exc:
-                fut = exc
-        for rows in outcomes.values():
-            rows.extend([fut] * len(args[1]))
+                for rows in outcomes.values():
+                    rows.extend([exc] * len(args[1]))
     return outcomes
 
 
@@ -190,8 +194,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     exception type and keeps a message ``run j: <exception>`` for each.
     With an output directory configured, the report, the fronts (and
     traces, if requested) are written there; traces are recorded only
-    then.  With ``config.workers > 1`` the rows, traced or not, are split
-    into that many jobs of one worker pool per experiment.
+    then.  The rows, traced or not, are split into ``config.workers`` jobs
+    (one for 0): the caller runs the first, one pool per experiment the rest.
     """
     problem = get_problem(config.problem)
     starts = sample_starts(
@@ -203,15 +207,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # Each start's directions in turn, so that a chunk of rows holds both.
     X0 = np.repeat(starts, len(config.directions), axis=0)
     lp_new = np.tile([d is DirectionVariant.LP_NEW for d in config.directions], len(starts))
-    if config.workers > 1:
-        chunks = zip(np.array_split(X0, config.workers), np.array_split(lp_new, config.workers))
-        pool = ProcessPoolExecutor(max_workers=config.workers)
-        try:
-            outcomes = _pooled(pool, [(config, X, new, traced) for X, new in chunks if len(X)])
-        finally:
-            pool.shutdown()
-    else:
-        outcomes = _run_chunk((config, X0, lp_new, traced))
+    jobs = max(config.workers, 1)
+    chunks = zip(np.array_split(X0, jobs), np.array_split(lp_new, jobs))
+    outcomes = _pooled([(config, X, new, traced) for X, new in chunks if len(X)])
     lockstep_time = time.perf_counter() - t_total
 
     variants = []

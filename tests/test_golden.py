@@ -3,9 +3,10 @@
 A small Table-1 run with traces, written once as CSV and once as JSON, and
 four domain scans are hashed file by file: every front, trace and
 scan-mask file, and every report with its wall-time values blanked.  The
-first Table-1 run is repeated in a 2-worker pool, whose fronts and traces
-must match the serial run's digests.  A change that moves any of these
-bytes must say why and record the digests again with
+first Table-1 run is repeated at 2 workers, one job in-process and one in
+a pool, whose fronts and traces must match the serial run's digests.  A
+change that moves any of these bytes must say why and record the digests
+again with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -86,9 +87,10 @@ def test_outputs_match_recorded_digests(tmp_path):
 
 
 def test_pooled_traces_match_recorded_digests(tmp_path, monkeypatch):
-    # The table1 command in a 2-worker pool, two traced jobs per problem,
-    # one per worker, writes the recorded serial fronts and traces byte
-    # for byte (its reports echo the worker count).
+    # The table1 command at 2 workers, two traced jobs per problem, one in
+    # the calling process and one in a 1-worker pool, writes the recorded
+    # serial fronts and traces byte for byte (its reports echo the worker
+    # count).
     jobs = []
 
     class CountingPool(harness.ProcessPoolExecutor):
@@ -100,7 +102,7 @@ def test_pooled_traces_match_recorded_digests(tmp_path, monkeypatch):
     subdir, *argv = COMMANDS[0]
     argv[argv.index("--workers") + 1] = "2"
     assert main([*argv, "--out", str(tmp_path / subdir)]) == EXIT_OK
-    assert len(jobs) == 3 * 2
+    assert len(jobs) == 3
     with open(GOLDEN) as fh:
         expected = {k: v for k, v in json.load(fh).items()
                     if k.startswith(f"{subdir}/") and "/report." not in k}

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import sys
 import time
 
 import numpy as np
@@ -38,8 +40,33 @@ from test_descent import assert_same_run
 from test_golden import _blank_wall_times
 
 
+# The pid of the test process; a forked pool worker inherits it, not its pid.
+_TEST_PID = os.getpid()
+
+
 def _dying_chunk(args):
-    os._exit(3)  # a worker that dies in the middle of its job
+    """A pool worker dies in the middle of its job; the test process runs it."""
+    if os.getpid() != _TEST_PID:
+        os._exit(3)
+    return _run_chunk(args)
+
+
+def _caller_chunk_raising(args):
+    """The test process's job raises; a pool worker runs its job."""
+    if os.getpid() == _TEST_PID:
+        raise _TwoArgError("E2", "the caller's job")
+    return _run_chunk(args)
+
+
+# The rows of each job that _spied_chunk runs in the test process; set per
+# test with monkeypatch.
+_CALLER_JOBS: list = []
+
+
+def _spied_chunk(args):
+    if os.getpid() == _TEST_PID:
+        _CALLER_JOBS.append(args[1])
+    return _run_chunk(args)
 
 
 def _second_chunk_dying(args):
@@ -329,27 +356,58 @@ class TestRunExperiment:
         assert causes == {"synthetic", "ladder", "objective"} and late
 
     def test_dead_chunk_fails_each_of_its_runs(self, monkeypatch):
+        # Of 5 rows in 2 jobs, the test process runs rows 0-2 and the pool's
+        # one worker rows 3-4, and dies: its runs fail with BrokenProcessPool,
+        # the caller's equal those of a serial run.
         monkeypatch.setattr(harness_mod, "_run_chunk", _dying_chunk)
         outcomes = _record_variants(monkeypatch)
         config = _small_config(n_starts=5, workers=2, directions=(DirectionVariant.LP_NEW,),
                                backtrackings=(BacktrackVariant.BT_NEW,))
         (v,) = run_experiment(config).variants
-        results, failures = outcomes[(BacktrackVariant.BT_NEW, DirectionVariant.LP_NEW)]
-        assert results == [None] * 5
-        assert list(failures) == list(range(5))
-        assert v.failure_causes == {"BrokenProcessPool": 5}
-        assert len(v.failure_messages) == 5
-        for j, msg in enumerate(v.failure_messages):
+        key = (BacktrackVariant.BT_NEW, DirectionVariant.LP_NEW)
+        results, failures = outcomes[key]
+        assert results[3:] == [None] * 2
+        assert list(failures) == [3, 4]
+        assert v.failure_causes == {"BrokenProcessPool": 2}
+        assert len(v.failure_messages) == 2
+        for j, msg in zip([3, 4], v.failure_messages):
             assert msg.startswith(f"run {j}: ") and "terminated abruptly" in msg
+        run_experiment(dataclasses.replace(config, workers=0))
+        serial, serial_failures = outcomes[key]
+        assert not serial_failures
+        for got, expected in zip(results[:3], serial[:3]):
+            assert_same_run(got, expected)
+
+    def test_caller_job_that_raises_fails_its_rows(self, monkeypatch, tmp_path):
+        # Of 5 starts' 10 rows in 2 jobs, the test process's job (lp-base's
+        # rows of starts 0-2, lp-new's of starts 0-1) raises: its runs fail
+        # with that exception under both backtrackings, the worker's do not,
+        # the report is written, and no worker outlives the experiment.
+        monkeypatch.setattr(harness_mod, "_run_chunk", _caller_chunk_raising)
+        outcomes = _record_variants(monkeypatch)
+        out = tmp_path / "exp"
+        report = run_experiment(_small_config(n_starts=5, workers=2, out_dir=str(out)))
+        assert multiprocessing.active_children() == []
+        dead = {DirectionVariant.LP_BASE: [0, 1, 2], DirectionVariant.LP_NEW: [0, 1]}
+        for v in report.variants:
+            results, failures = outcomes[(v.backtracking, v.direction)]
+            assert list(failures) == dead[v.direction]
+            assert [r is None for r in results] == [j in failures for j in range(5)]
+            assert v.failure_causes == {"_TwoArgError": len(failures)}
+            assert all(m.endswith(": ('E2', \"the caller's job\")") for m in v.failure_messages)
+        parsed = json.loads((out / "report.json").read_text())
+        assert [v["failure_causes"] for v in parsed["variants"]] == [
+            {"_TwoArgError": 3}, {"_TwoArgError": 2}
+        ] * 2
 
     @staticmethod
     def _count_pools(monkeypatch):
         built = []
 
         class CountingPool(harness_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", CountingPool)
         return built
@@ -451,6 +509,19 @@ class TestRunExperiment:
             assert v.failure_causes == {"_TwoArgError": v.failures}
             assert all(m.endswith(": ('E1', 'bad point')") for m in v.failure_messages)
 
+    @staticmethod
+    def _outputs(out, **overrides):
+        """The report.json, with wall times and the echoed worker count
+        blanked, and the front and trace files of a traced experiment."""
+        run_experiment(_small_config(out_dir=str(out), emit_traces=True, **overrides))
+        report = json.loads((out / "report.json").read_text())
+        report["total_wall_time"] = 0.0
+        report["config"]["workers"] = 0
+        for v in report["variants"]:
+            v["wall_time"] = 0.0
+        paths = sorted([*out.glob("front_*"), *out.glob("trace_*")])
+        return report, {p.name: p.read_bytes() for p in paths}
+
     def test_parallel_matches_serial(self, monkeypatch, tmp_path):
         # A 2-worker pool, which also runs the traced runs, writes
         # byte-identical front and trace files and the same report.json as
@@ -458,21 +529,8 @@ class TestRunExperiment:
         built = self._count_pools(monkeypatch)
 
         def outputs(problem, workers):
-            out = tmp_path / f"{problem}-{workers}"
-            run_experiment(
-                _small_config(
-                    problem=problem, n_starts=12, seed=7, workers=workers,
-                    out_dir=str(out), emit_traces=True,
-                )
-            )
-            report = json.loads((out / "report.json").read_text())
-            report["total_wall_time"] = 0.0
-            report["config"]["workers"] = 0
-            for v in report["variants"]:
-                v["wall_time"] = 0.0
-            paths = sorted([*out.glob("front_*"), *out.glob("trace_*")])
-            tables = {p.name: p.read_bytes() for p in paths}
-            return report, tables
+            return self._outputs(tmp_path / f"{problem}-{workers}", problem=problem,
+                                 n_starts=12, seed=7, workers=workers)
 
         for problem in ("fonseca-fleming", "kursawe", "viennet"):
             serial_report, serial_tables = outputs(problem, 0)
@@ -482,6 +540,30 @@ class TestRunExperiment:
             assert pool_tables == serial_tables
             assert pool_report == serial_report
         assert len(built) == 3
+
+    def test_caller_runs_the_first_job(self, monkeypatch, tmp_path):
+        # With 3 workers, the test process runs the first of 3 jobs of 8 rows
+        # while a pool of 2 workers runs the others; the outputs are a
+        # serial run's.
+        monkeypatch.setattr(harness_mod, "_run_chunk", _spied_chunk)
+        monkeypatch.setattr(sys.modules[__name__], "_CALLER_JOBS", [])
+        built = self._count_pools(monkeypatch)
+        kw = dict(problem="kursawe", n_starts=12, seed=7)
+        pooled = self._outputs(tmp_path / "pooled", workers=3, **kw)
+        assert built == [2]
+        (rows,) = _CALLER_JOBS
+        starts = sample_starts(StartSampler(get_problem("kursawe").domain_box, 12, 7))
+        assert np.array_equal(rows, np.repeat(starts[:4], 2, axis=0))
+        assert self._outputs(tmp_path / "serial", workers=0, **kw) == pooled
+        assert built == [2]
+
+    def test_one_job_builds_no_pool(self, monkeypatch, tmp_path):
+        # One row cannot be split over 2 workers: the one job runs in-process.
+        built = self._count_pools(monkeypatch)
+        kw = dict(n_starts=1, directions=(DirectionVariant.LP_NEW,))
+        pooled = self._outputs(tmp_path / "pooled", workers=2, **kw)
+        assert built == []
+        assert self._outputs(tmp_path / "serial", workers=0, **kw) == pooled
 
 
 class TestPersistence:

@@ -36,10 +36,24 @@ def objective_rows(draw):
     each exact or with the sign of its zeros flipped (an equal row).
 
     k is drawn first, up to 130 rows, so that the 3-objective mask's
-    levels reach block size 128; a list's own size would stay short."""
+    levels reach block size 128; a list's own size would stay short.  Each
+    cell is one of a drawn pool of 1-16 distinct values, picked by a
+    generator seeded from one draw: many distinct rows and many ties, at a
+    few draws per set instead of one per cell.  In some 3-objective sets f2
+    gets a distinct integer added to each row and f3 is minus f2: most rows
+    are not dominated, and the largest f3 is often held by one row on the
+    front, which the mask must keep at every level."""
     m = draw(st.integers(1, 4))
     k = draw(st.integers(0, 130))
-    rows = draw(st.lists(st.lists(VALUES, min_size=m, max_size=m), min_size=k, max_size=k))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    size = int(rng.integers(1, 17))
+    signed = lambda v: (v, np.copysign(1.0, v))  # -0.0 and 0.0 both count
+    pool = np.array(draw(st.lists(VALUES, min_size=size, max_size=size, unique_by=signed)))
+    F = pool[rng.integers(0, size, size=(k, m))]
+    if m == 3 and draw(st.booleans()):
+        F[:, 1] += rng.permutation(k)
+        F[:, 2] = -F[:, 1]
+    rows = F.tolist()
     if rows:
         for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=5)):
             flip = draw(st.booleans())
