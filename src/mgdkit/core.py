@@ -121,7 +121,7 @@ def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
 def _dominates_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row i is True iff A[i] dominates B[i]: A[i] <= B[i] componentwise
     and A[i] != B[i] (exact comparisons)."""
-    return np.all(A <= B, axis=1) & np.any(A != B, axis=1)
+    return (A <= B).all(axis=1) & (A != B).any(axis=1)
 
 
 def dominates(fa: np.ndarray, fb: np.ndarray) -> bool:

@@ -129,7 +129,7 @@ def _armijo_ladder(
     # np.matmul, not einsum or a sum of products: it rounds each row's
     # slopes exactly as jac @ p does for one run.
     slopes = np.matmul(J, P[:, :, None])[:, :, 0]
-    ok = np.all(FL <= F[:, None, :] + etas[:, None] * (params.c1 * slopes)[:, None, :], axis=2)
+    ok = (FL <= F[:, None, :] + etas[:, None] * (params.c1 * slopes)[:, None, :]).all(axis=2)
     satisfied = ok.any(axis=1)
     return np.where(satisfied, etas[ok.argmax(axis=1)], params.fallback_step), satisfied
 
@@ -224,7 +224,7 @@ def _rows(keep: np.ndarray, *arrays):
     """The rows of each array where ``keep`` holds: the arrays themselves if it holds for all."""
     if np.count_nonzero(keep) == len(keep):  # a third of keep.all()'s cost on a few rows
         return arrays
-    idx = np.flatnonzero(keep)
+    idx = keep.nonzero()[0]
     return [a[idx] for a in arrays]
 
 
@@ -309,7 +309,8 @@ def _lockstep(
     def log_trace(k, runs, X, F, P, beta, cases, eta, satisfied):
         if record_trace:
             w = runs.size
-            eta, satisfied = np.broadcast_to(eta, w), np.broadcast_to(satisfied, w)
+            if not isinstance(eta, np.ndarray):  # stop's zero step, one value for all rows
+                eta, satisfied = np.full(w, eta), np.full(w, satisfied)
             trace_log.append((runs, np.full(w, k), X, F, P, beta, eta, satisfied, cases))
 
     def end(runs, X, F, termination, k):

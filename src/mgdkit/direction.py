@@ -111,8 +111,9 @@ def _prepare(J: np.ndarray, new: np.ndarray, epsilon: float):
     c_beta, c_p = norms[:, m] + epsilon, g
     if not new.all():
         # The lp-base rows: each row's values depend on that row alone.
-        base = ~new
-        keep[base], gamma[base], c_beta[base], G[base] = True, 1.0, 1.0, J[base]
+        keep |= ~new[:, None]
+        gamma, c_beta = np.where(new, gamma, 1.0), np.where(new, c_beta, 1.0)
+        G = np.where(new[:, None, None], G, J)
         c_p = np.where(new[:, None], g, 0.0)
     return g, keep, gamma, c_beta, G, c_p
 
@@ -156,17 +157,16 @@ def _simplex(cs, As, bs):
     if len(cs) >= _BATCH_MIN_WIDTH:
         Y, outcomes = _simplex_batch(cs, As, bs)
     else:
-        Y, outcomes = np.zeros(cs.shape), {}
-        for w in range(len(cs)):
+        rows, outcomes = [], {}
+        for w, lp in enumerate(zip(cs.tolist(), As.tolist(), bs.tolist())):
             try:
-                status, y = _simplex_core(cs[w].tolist(), As[w].tolist(), bs[w].tolist())
+                status, y = _simplex_core(*lp)
             except SolverFailure as exc:
-                outcomes[w] = exc
-            else:
-                if status is LpStatus.OPTIMAL:
-                    Y[w] = y
-                else:
-                    outcomes[w] = status
+                status, y = exc, None
+            if y is None:  # no optimum: a zero row in Y
+                outcomes[w], y = status, [0.0] * cs.shape[1]
+            rows.append(y)
+        Y = np.array(rows).reshape(cs.shape)
     return Y, {
         w: SolverFailure(f"direction LP ended with status {o.value}") if isinstance(o, LpStatus) else o
         for w, o in outcomes.items()
@@ -232,15 +232,16 @@ def _solve_batch(
         # Rows still being classified: those with an LP (else p* = 0), then the critical.
         finite = np.isfinite(J).all(axis=(1, 2))
         live = finite & keep.any(axis=1)
-        if not live.all():
+        lps = live.nonzero()[0]
+        lp_data = c_p, G, gamma, c_beta, keep
+        if lps.size < W:
             cases[~live] = CriticalityCase.CRITICAL_ZERO_ONLY
-            for w in np.flatnonzero(~finite).tolist():
+            for w in (~finite).nonzero()[0].tolist():
                 errors[w], cases[w] = ValueError("a Jacobian entry is not finite"), None
-        lps = np.flatnonzero(live)
-        # take copies rows of 2-d and 3-d arrays for a fraction of [lps]'s cost.
-        box = gamma[lps]
-        form = _standard_form(c_p.take(lps, 0), G.take(lps, 0), box, c_beta[lps], keep.take(lps, 0))
-        Y, failures = _simplex(*form)
+            # take copies rows of 2-d and 3-d arrays for a fraction of [lps]'s cost.
+            lp_data = [a.take(lps, 0) for a in lp_data]
+        box = lp_data[2]
+        Y, failures = _simplex(*_standard_form(*lp_data))
         P[lps] = Y[:, :n] - box[:, None]
         beta[lps] = -Y[:, n]
         cases[lps] = CriticalityCase.NOT_CRITICAL
@@ -251,7 +252,7 @@ def _solve_batch(
         # min g.p over the cone: an lp-new row's LP value less its beta
         # term, rounded as the oracle's; the lp-base rows solve their cone LP.
         min_gp = (_sum_in_order(c_p * P, 1) + c_beta * beta) - c_beta * beta
-        rows = np.flatnonzero(live & ~new)
+        rows = (live & ~new).nonzero()[0]
         if rows.size:
             min_gp[rows], failures = _cone_minima(g.take(rows, 0), G.take(rows, 0), gamma[rows])
             fail(rows, failures)
@@ -260,7 +261,7 @@ def _solve_batch(
         if not live.any():
             return result
         cases[live] = CriticalityCase.CRITICAL_PERPENDICULAR
-        zero = np.flatnonzero(live & ~(np.abs(P).max(axis=1) > TOL_ZERO_DIR))
+        zero = (live & ~(np.abs(P).max(axis=1) > TOL_ZERO_DIR)).nonzero()[0]
         if not zero.size:
             return result
         # Probes tell a {0} cone from a perpendicular one (0.0 - eye: zeros are +0.0).

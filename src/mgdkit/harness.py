@@ -285,8 +285,10 @@ def _json_text(obj, indent: int = 0) -> str:
         if body is None:
             body = (",\n" + inner).join([_json_text(v, indent + 1) for v in obj])
         return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -11,11 +11,14 @@ tableau in plain Python lists: the LPs here are tiny (a handful of
 variables and rows), and for one LP list arithmetic beats numpy's
 per-call overhead.  ``_simplex_batch`` solves many LPs of one shape in
 one padded numpy tableau and makes, for each of them, the pivots
-``_simplex_core`` makes, with the same floating-point operations.  Both
-run the same phases on one tableau: phase 1 drives the artificials out
-where a row has an entry above ``_TOL`` to pivot on, and phase 2 keeps
-the artificial columns but never brings one in, so no row is dropped
-and neither statement hands an LP to the other.
+``_simplex_core`` makes, with the same floating-point operations on
+every entry the scalar pivot updates; the entries it skips (see
+``_pivot``) could differ only in the sign of a zero that nothing reads,
+so y is the same to the bit.  Both run the same phases on one tableau:
+phase 1 drives the artificials out where a row has an entry above
+``_TOL`` to pivot on, and phase 2 keeps the artificial columns but never
+brings one in, so no row is dropped and neither statement hands an LP
+to the other.
 ``direction._simplex`` picks one by the number of LPs it is given: the
 batch from ``direction._BATCH_MIN_WIDTH`` LPs on, the measured
 crossover, and the scalar simplex per LP below.
@@ -127,25 +130,35 @@ def _to_standard_form(spec: LpSpec):
     return cs, As, bs, col_orig, col_sign, shift
 
 
-def _pivot(T, basis, nrows, width, row, col):
+def _pivot(T, basis, nrows, ncols, row, col):
+    """Pivot on T[row][col], updating the first ``ncols`` columns and the
+    RHS.  A column where the scaled pivot row is ±0 is left as it is: with
+    finite multipliers the full update would change at most the sign of a
+    zero there, and no tolerance test, nonzero multiplier or RHS update
+    reads that sign.  The RHS, which y reads, is always updated."""
     Tr = T[row]
     inv = 1.0 / Tr[col]
-    for j in range(width):
-        Tr[j] *= inv
+    rhs = len(Tr) - 1
+    Tr[rhs] *= inv
+    cols = [rhs]
+    for j in range(ncols):
+        if Tr[j] != 0.0:
+            Tr[j] *= inv
+            cols.append(j)
     for i in range(nrows + 1):
         if i != row:
             Ti = T[i]
             f = Ti[col]
             if f != 0.0:
-                for j in range(width):
+                for j in cols:
                     Ti[j] -= f * Tr[j]
     basis[row] = col
 
 
 def _iterate(T, basis, nrows, nenter):
     """Bland-rule pivots to optimality, bringing in only the first
-    ``nenter`` columns; False means unbounded."""
-    width = len(T[nrows])
+    ``nenter`` columns, which are all that its pivots update besides the
+    RHS; False means unbounded."""
     cost = T[nrows]
     while True:
         entering = -1
@@ -167,7 +180,7 @@ def _iterate(T, basis, nrows, nenter):
                     best_row, best_ratio = i, ratio
         if best_row < 0:
             return False
-        _pivot(T, basis, nrows, width, best_row, entering)
+        _pivot(T, basis, nrows, nenter, best_row, entering)
 
 
 def _simplex_core(cs, As, bs):
@@ -176,24 +189,24 @@ def _simplex_core(cs, As, bs):
     nart = sum(1 for b in bs if b < 0)
     base = nvars + nrows  # the first artificial column
     ncols = base + nart
-    T = [[0.0] * (ncols + 1) for _ in range(nrows + 1)]
-    basis = [0] * nrows
+    # Row i is s * [As[i], e_i, RHS bs[i]] with s = -1 where bs[i] < 0, plus
+    # its artificial there; -a is exactly (-1.0) * a, as a is 1.0 * a.
+    pad = [0.0] * (ncols + 1 - nvars)
+    T, basis = [], []
     k = base
     for i in range(nrows):
-        neg = bs[i] < 0
-        s = -1.0 if neg else 1.0
-        row = T[i]
-        Ai = As[i]
-        for j in range(nvars):
-            row[j] = s * Ai[j]
-        row[nvars + i] = s
-        row[ncols] = s * bs[i]
-        if neg:
-            row[k] = 1.0
-            basis[i] = k
+        b = bs[i]
+        if b < 0:
+            row = [-a for a in As[i]] + pad
+            row[nvars + i], row[ncols], row[k] = -1.0, -b, 1.0
+            basis.append(k)
             k += 1
         else:
-            basis[i] = nvars + i
+            row = As[i] + pad
+            row[nvars + i], row[ncols] = 1.0, b
+            basis.append(nvars + i)
+        T.append(row)
+    T.append([0.0] * (ncols + 1))
 
     if nart:
         # Phase 1: minimize the sum of artificials.
@@ -218,21 +231,18 @@ def _simplex_core(cs, As, bs):
                 Ti = T[i]
                 for j in range(base):
                     if abs(Ti[j]) > _TOL:
-                        _pivot(T, basis, nrows, ncols + 1, i, j)
+                        _pivot(T, basis, nrows, ncols, i, j)
                         break
 
-    # Phase 2: install the true objective row.
-    cost = T[nrows]
-    for j in range(ncols + 1):
-        cost[j] = 0.0
-    for j in range(nvars):
-        cost[j] = cs[j]
+    # Phase 2: install the true objective row, in the first base columns:
+    # nothing reads its artificial columns or its RHS from here on.
+    T[nrows] = cost = cs + pad
     for i in range(nrows):
         bcol = basis[i]
         cb = cs[bcol] if bcol < nvars else 0.0
         if cb != 0.0:
             Ti = T[i]
-            for j in range(ncols + 1):
+            for j in range(base):
                 cost[j] -= cb * Ti[j]
     if not _iterate(T, basis, nrows, base):
         return LpStatus.UNBOUNDED, None

@@ -17,9 +17,10 @@ def _point_evaluator(f_batch, jac_batch):
 def _ff_f_batch(a: float):
     def f_batch(X: np.ndarray) -> np.ndarray:
         D1, D2 = X - a, X + a
-        return np.column_stack(
-            [1.0 - np.exp(-np.vecdot(D1, D1)), 1.0 - np.exp(-np.vecdot(D2, D2))]
-        )
+        F = np.empty((len(X), 2))
+        F[:, 0] = 1.0 - np.exp(-np.vecdot(D1, D1))
+        F[:, 1] = 1.0 - np.exp(-np.vecdot(D2, D2))
+        return F
 
     return f_batch
 
@@ -29,7 +30,10 @@ def _ff_jac_batch(a: float):
         D1, D2 = X - a, X + a
         e1 = np.exp(-np.vecdot(D1, D1))
         e2 = np.exp(-np.vecdot(D2, D2))
-        return np.stack([(2.0 * e1)[:, None] * D1, (2.0 * e2)[:, None] * D2], axis=1)
+        Jac = np.empty((len(X), 2, X.shape[1]))
+        Jac[:, 0] = (2.0 * e1)[:, None] * D1
+        Jac[:, 1] = (2.0 * e2)[:, None] * D2
+        return Jac
 
     return jac_batch
 
@@ -56,9 +60,10 @@ def fonseca_fleming(n: int = 3) -> Problem:
 def _kursawe_f_batch(X: np.ndarray) -> np.ndarray:
     s1 = np.hypot(X[:, 0], X[:, 1])
     s2 = np.hypot(X[:, 1], X[:, 2])
-    f1 = -10.0 * (np.exp(-0.2 * s1) + np.exp(-0.2 * s2))
-    f2 = np.sum(np.abs(X) ** 0.8 + 5.0 * np.sin(X**3), axis=1)
-    return np.column_stack([f1, f2])
+    F = np.empty((len(X), 2))
+    F[:, 0] = -10.0 * (np.exp(-0.2 * s1) + np.exp(-0.2 * s2))
+    F[:, 1] = np.sum(np.abs(X) ** 0.8 + 5.0 * np.sin(X**3), axis=1)
+    return F
 
 
 def _kursawe_jac_batch(X: np.ndarray) -> np.ndarray:
@@ -74,9 +79,12 @@ def _kursawe_jac_batch(X: np.ndarray) -> np.ndarray:
         r2 = np.where(s2 > 0, 2.0 * e2 / s2, 0.0)
         # |x|^0.8 has unbounded slope at 0; define the derivative as 0 there.
         pw = np.where(ax > 0, 0.8 * np.sign(X) * ax ** (-0.2), 0.0)
-    g1 = np.column_stack([r1 * X[:, 0], r1 * X[:, 1] + r2 * X[:, 1], r2 * X[:, 2]])
-    g2 = pw + 15.0 * X**2 * np.cos(X**3)
-    return np.stack([g1, g2], axis=1)
+    Jac = np.empty((len(X), 2, 3))
+    Jac[:, 0, 0] = r1 * X[:, 0]
+    Jac[:, 0, 1] = r1 * X[:, 1] + r2 * X[:, 1]
+    Jac[:, 0, 2] = r2 * X[:, 2]
+    Jac[:, 1] = pw + 15.0 * X**2 * np.cos(X**3)
+    return Jac
 
 
 def kursawe() -> Problem:
@@ -94,14 +102,15 @@ def kursawe() -> Problem:
 
 def _viennet_f_batch(X: np.ndarray) -> np.ndarray:
     r2 = X[:, 0] ** 2 + X[:, 1] ** 2
-    f1 = 0.5 * r2 + np.sin(r2)
-    f2 = (
+    F = np.empty((len(X), 3))
+    F[:, 0] = 0.5 * r2 + np.sin(r2)
+    F[:, 1] = (
         (3.0 * X[:, 0] - 2.0 * X[:, 1] + 4.0) ** 2 / 8.0
         + (X[:, 0] - X[:, 1] + 1.0) ** 2 / 27.0
         + 15.0
     )
-    f3 = 1.0 / (r2 + 1.0) - 1.1 * np.exp(-r2)
-    return np.column_stack([f1, f2, f3])
+    F[:, 2] = 1.0 / (r2 + 1.0) - 1.1 * np.exp(-r2)
+    return F
 
 
 def _viennet_jac_batch(X: np.ndarray) -> np.ndarray:
@@ -111,14 +120,11 @@ def _viennet_jac_batch(X: np.ndarray) -> np.ndarray:
     v = x1 - x2 + 1.0
     a1 = 1.0 + 2.0 * np.cos(r2)
     a3 = 2.0 * (1.1 * np.exp(-r2) - 1.0 / (r2 + 1.0) ** 2)
-    return np.stack(
-        [
-            np.column_stack([a1 * x1, a1 * x2]),
-            np.column_stack([0.75 * u + 2.0 * v / 27.0, -0.5 * u - 2.0 * v / 27.0]),
-            np.column_stack([a3 * x1, a3 * x2]),
-        ],
-        axis=1,
-    )
+    Jac = np.empty((len(X), 3, 2))
+    Jac[:, 0, 0], Jac[:, 0, 1] = a1 * x1, a1 * x2
+    Jac[:, 1, 0], Jac[:, 1, 1] = 0.75 * u + 2.0 * v / 27.0, -0.5 * u - 2.0 * v / 27.0
+    Jac[:, 2, 0], Jac[:, 2, 1] = a3 * x1, a3 * x2
+    return Jac
 
 
 def viennet() -> Problem:

@@ -422,10 +422,16 @@ def run_mgd_oracle(
     )
 
 
+def _dominates_oracle(a: tuple, b: tuple) -> bool:
+    """Objective rows as tuples of Python floats: a dominates b when it is
+    <= in every objective and != in at least one (so -0.0 equals 0.0)."""
+    return a != b and all(u <= v for u, v in zip(a, b))
+
+
 def nondominated_mask_oracle(F: np.ndarray) -> np.ndarray:
-    """``nondominated_mask`` by comparing every pair of rows with ``dominates``."""
-    F = np.asarray(F, dtype=float)
-    return np.array([not any(dominates(g, f) for g in F) for f in F], dtype=bool)
+    """``nondominated_mask`` by comparing every pair of rows."""
+    rows = list(map(tuple, np.asarray(F, dtype=float).tolist()))
+    return np.array([not any(_dominates_oracle(g, f) for g in rows) for f in rows], dtype=bool)
 
 
 def ratio_and_front_oracle(results: list) -> tuple[float, list]:
@@ -433,12 +439,14 @@ def ratio_and_front_oracle(results: list) -> tuple[float, list]:
     run's final point filtered together with its stored points, then the
     union of the survivors, run by run.  ``results`` holds one RunResult per
     run, None for a failed one; the front is a list of (x, f) pairs."""
-    union = []
+    union = []  # (run, x, f, f as a tuple of floats)
     for j, r in enumerate(results):
         if r is not None:
             own = [(r.x_hat, r.f_hat), *zip(r.stored_x, r.stored_f)]
-            union += [(j, x, f) for x, f in own if not any(dominates(g, f) for _, g in own)]
-    front = [(j, x, f) for j, x, f in union if not any(dominates(g, f) for _, _, g in union)]
+            own = [(j, x, f, tuple(f.tolist())) for x, f in own]
+            union += [p for p in own if not any(_dominates_oracle(g, p[3]) for *_, g in own)]
+    front = [(j, x, f) for j, x, f, t in union
+             if not any(_dominates_oracle(g, t) for *_, g in union)]
     return len({j for j, _, _ in front}) / len(results), [(x, f) for _, x, f in front]
 
 
@@ -460,8 +468,8 @@ def json_text_oracle(obj, indent: int = 0) -> str:
             return "[]"
         items = ",\n".join(f"{pad}  {json_text_oracle(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return json.dumps(obj if obj is None else bool(obj))
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -352,6 +352,13 @@ class TestRunMgd:
         assert str(got).startswith("iteration ") and not str(got).startswith("iteration 0:")
 
 
+def assert_record_types(rec):
+    """A TraceRecord's scalar fields hold Python scalars and a case."""
+    assert type(rec.k) is int and type(rec.beta_star) is float and type(rec.eta) is float
+    assert type(rec.armijo_satisfied) is bool
+    assert isinstance(rec.critical_case, CriticalityCase)
+
+
 def assert_same_run(got, expected):
     """Every RunResult field, each TraceRecord included, exactly equal: the
     arrays byte for byte (so -0.0 is not 0.0 and no dtype changes), the
@@ -363,9 +370,7 @@ def assert_same_run(got, expected):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert len(got.trace) == len(expected.trace)
     for a, b in zip(got.trace, expected.trace):
-        assert type(a.k) is int and type(a.beta_star) is float and type(a.eta) is float
-        assert type(a.armijo_satisfied) is bool
-        assert isinstance(a.critical_case, CriticalityCase)
+        assert_record_types(a)
         for name in ("x", "f", "p_star"):
             u, v = getattr(a, name), getattr(b, name)
             assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), name
@@ -405,7 +410,7 @@ class TestLockstep:
         # batched simplex until runs leave the batch, and through the scalar
         # solver after; each run still equals the one-start oracle, which
         # solves every LP by itself.
-        widths, all_widths = [], []
+        widths, all_widths, zero_steps = [], [], 0
 
         def spy(J, *args):
             widths.append(len(J))
@@ -424,9 +429,13 @@ class TestLockstep:
             assert widths == [w for w in live if w]
             all_widths += widths
             for x0, run in zip(starts, runs):
-                assert all(type(rec.beta_star) is float for rec in run.trace)
+                # Every record, the zero-step ones that a stopped run logs too.
+                for rec in run.trace:
+                    assert_record_types(rec)
+                    zero_steps += rec.eta == 0.0
                 assert_same_run(run, run_mgd_oracle(prob, x0, params, cfg, K=12))
         assert min(all_widths) < _BATCH_MIN_WIDTH <= max(all_widths)
+        assert zero_steps
 
     def test_runs_storing_nothing_share_one_empty_pair(self):
         # A pool job pickles the shared pair once, not once per run.

@@ -576,6 +576,14 @@ class TestPersistence:
         assert parsed["problem"] == "fonseca-fleming"
         assert len(parsed["variants"]) == 4
 
+    def test_numpy_bool_setting_is_a_json_bool(self, tmp_path):
+        # A setting given as a numpy bool is written as true, not "True".
+        out = str(tmp_path / "exp")
+        run_experiment(ExperimentConfig(problem="viennet", n_starts=1, max_iters=1,
+                                        paper_semantics=np.True_, out_dir=out))
+        with open(os.path.join(out, "report.json")) as fh:
+            assert json.loads(fh.read())["config"]["paper_semantics"] is True
+
     def test_front_and_trace_files(self, tmp_path):
         out = str(tmp_path / "exp")
         run_experiment(

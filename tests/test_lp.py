@@ -265,6 +265,22 @@ def check_batched_simplex(cs, As, bs):
     return seen
 
 
+def with_signed_zeros(rng, cs, As, bs):
+    """The LPs with about a third of the entries of As and bs set to 0.0 or
+    -0.0, and in each LP of two rows or more one row twice another, so that
+    a pivot on either can bring the other's right-hand side to a zero."""
+    W, nrows, nvars = As.shape
+    As, bs = As.copy(), bs.copy()
+    for x in (As, bs):
+        hit = rng.random(x.shape) < 1 / 3
+        x[hit] = rng.choice([0.0, -0.0], size=np.count_nonzero(hit))
+    if nrows > 1:
+        for A, b in zip(As, bs):
+            r, k = rng.choice(nrows, size=2, replace=False)
+            A[k], b[k] = 2.0 * A[r], 2.0 * b[r]
+    return cs, As, bs
+
+
 class TestBatchedSimplexEqualsScalar:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -275,6 +291,20 @@ class TestBatchedSimplexEqualsScalar:
     )
     def test_random_batches(self, seed, width, nrows, nvars):
         check_batched_simplex(*random_standard_lps(np.random.default_rng(seed), width, nrows, nvars))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from((1, 2, 16, 60)),
+        nrows=st.integers(1, 7),
+        nvars=st.integers(1, 6),
+    )
+    def test_signed_zeros(self, seed, width, nrows, nvars):
+        # The scalar pivot skips the columns where the scaled pivot row is
+        # zero but always updates the RHS, so every y, its zero signs
+        # included, stays the batch's.
+        rng = np.random.default_rng(seed)
+        check_batched_simplex(*with_signed_zeros(rng, *random_standard_lps(rng, width, nrows, nvars)))
 
     def test_every_outcome_seen(self):
         # The generator reaches optimal LPs with and without phase 1,
