@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shlex
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -34,50 +34,42 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise UsageError(message)
 
+    def convert_arg_line_to_args(self, arg_line):
+        # An @file line holds flags as on the command line: shell quoting, '#' comments.
+        return shlex.split(arg_line, comments=True)
+
 
 def _add_common(p: _Parser, one_problem: bool = True):
-    """The experiment flags, and ``p.config_keys``: the keys a config file
-    may set, each the dest of one of them, mapped to its flag.  Without
-    ``one_problem`` the flags that choose the problem and the variant are
-    left out."""
-    flags = []
+    """The experiment flags.  Without ``one_problem`` the flags that choose
+    the problem and the variant are left out."""
     if one_problem:
-        flags += [
-            p.add_argument("--problem", choices=sorted(PROBLEMS), help="benchmark problem"),
-            p.add_argument("--direction", choices=[d.value for d in DirectionVariant],
-                           help="direction subproblem variant"),
-            p.add_argument("--backtracking", choices=[b.value for b in BacktrackVariant],
-                           help="line-search strategy"),
-        ]
-    flags += [
-        p.add_argument("--n-starts", type=int, help="number of start points"),
-        p.add_argument("--seed", type=int, help="RNG seed (fallback: MGD_SEED)"),
-        p.add_argument("--c1", type=float, help="Armijo constant"),
-        p.add_argument("--alpha", type=float, help="backtracking shrink factor"),
-        p.add_argument("--eta0", type=float, help="initial step size"),
-        p.add_argument("--theta", type=int, help="max backtracking steps"),
-        p.add_argument("--epsilon", type=float, help="margin added to the beta weight"),
-        p.add_argument("--max-iters", type=int, help="iteration budget override"),
-        p.add_argument("--out", dest="out_dir", help="output directory"),
-        p.add_argument("--format", dest="trace_format", choices=["csv", "json"],
-                       help="trace/front file format"),
-        p.add_argument("--workers", type=int,
-                       help="jobs the runs are split into, one in-process (default: cores)"),
-        p.add_argument(
-            "--paper-semantics",
-            action="store_true",
-            default=None,
-            help="loop on zero directions instead of stopping early",
-        ),
-        p.add_argument("--traces", dest="emit_traces", action="store_true", default=None,
-                       help="write per-run trajectory files"),
-    ]
-    p.add_argument("--config", help="key=value config file (flags override it)")
-    p.config_keys = {flag.dest: flag for flag in flags}
+        p.add_argument("--problem", choices=sorted(PROBLEMS), help="benchmark problem")
+        p.add_argument("--direction", choices=[d.value for d in DirectionVariant],
+                       help="direction subproblem variant")
+        p.add_argument("--backtracking", choices=[b.value for b in BacktrackVariant],
+                       help="line-search strategy")
+    p.add_argument("--n-starts", type=int, help="number of start points")
+    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--c1", type=float, help="Armijo constant")
+    p.add_argument("--alpha", type=float, help="backtracking shrink factor")
+    p.add_argument("--eta0", type=float, help="initial step size")
+    p.add_argument("--theta", type=int, help="max backtracking steps")
+    p.add_argument("--epsilon", type=float, help="margin added to the beta weight")
+    p.add_argument("--max-iters", type=int, help="iteration budget override")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--format", dest="trace_format", choices=["csv", "json"],
+                   help="trace/front file format")
+    p.add_argument("--workers", type=int,
+                   help="jobs the runs are split into, one in-process (default: cores)")
+    p.add_argument("--paper-semantics", action="store_true", default=None,
+                   help="loop on zero directions instead of stopping early")
+    p.add_argument("--traces", dest="emit_traces", action="store_true", default=None,
+                   help="write per-run trajectory files")
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="mgdkit", description=__doc__)
+    parser = _Parser(prog="mgdkit", description=__doc__, fromfile_prefix_chars="@",
+                     epilog="@FILE reads flags from FILE in its place; later flags override it.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_common(sub.add_parser("run", help="one problem, chosen variants"))
@@ -90,73 +82,20 @@ def build_parser() -> _Parser:
     scan.add_argument("--tol", type=float, required=True)
     scan.add_argument("--resolution", help="per-axis cells, e.g. 256 or 64,64,64")
     scan.add_argument("--out", help="output directory")
-
-    parser.commands = sub.choices  # command name -> its parser
     return parser
 
 
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("MGD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"MGD_SEED must be an integer, got {env!r}")
-    return 0
-
-
-def _config_flags(path: str, command: _Parser) -> list:
-    """The flags a ``key = value`` config file stands for, in file order
-    ('#' starts a comment): each key is the dest of one of the command's
-    flags, a switch takes true/false/1/0.  Each line is parsed on its own,
-    so a bad one is a usage error naming its ``path:line``."""
-    flags = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = (part.strip() for part in line.partition("="))
-            flag = command.config_keys.get(key)
-            try:
-                if not eq:
-                    raise UsageError(f"expected key=value, got {line!r}")
-                if flag is None:
-                    raise UsageError(f"unknown key {key!r}")
-                if flag.nargs == 0:  # a switch
-                    if value.lower() not in ("true", "false", "1", "0"):
-                        raise UsageError(f"boolean expected for {key}")
-                    line_flags = [flag.option_strings[0]] if value.lower() in ("true", "1") else []
-                else:
-                    line_flags = [f"{flag.option_strings[0]}={value}"]
-                # The config's own range checks (the problem's are its choices).
-                values = _config_values(command.parse_args(line_flags))
-                ExperimentConfig(**{"problem": "", **values})
-            except (UsageError, ValueError) as exc:
-                raise UsageError(f"{path}:{lineno}: {exc}") from None
-            flags += line_flags
-    return flags
-
-
-def _config_values(args) -> dict:
-    """The :class:`ExperimentConfig` fields that parsed flags set."""
+def _build_config(args) -> ExperimentConfig:
+    """The experiment the parsed flags set; an unset one keeps
+    :class:`ExperimentConfig`'s default, but ``--workers`` defaults to the cores."""
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values = {key: v for key, v in vars(args).items() if key in names and v is not None}
+    if "problem" not in values:
+        raise UsageError("a problem must be given (--problem)")
     if getattr(args, "direction", None):
         values["directions"] = (DirectionVariant(args.direction),)
     if getattr(args, "backtracking", None):
         values["backtrackings"] = (BacktrackVariant(args.backtracking),)
-    return values
-
-
-def _build_config(args) -> ExperimentConfig:
-    values = _config_values(args)
-    if "problem" not in values:
-        raise UsageError("a problem must be given (--problem or config file)")
-
-    values["seed"] = _resolve_seed(args.seed)
     workers = values.get("workers", os.cpu_count() or 1)
     values["workers"] = 0 if workers == 1 else workers
     try:
@@ -192,8 +131,6 @@ def _cmd_scan(args) -> int:
         pair = tuple(int(v) for v in args.pair.split(","))
     except ValueError:
         raise UsageError(f"--pair expects i,j with integers, got {args.pair!r}")
-    if len(pair) != 2:
-        raise UsageError("--pair expects exactly two objective numbers")
     if args.resolution:
         try:
             res = [int(v) for v in args.resolution.split(",")]
@@ -249,14 +186,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # The file's flags go first, so the command line overrides them.
-            flags = _config_flags(args.config, parser.commands[args.command])
-            args = parser.parse_args([args.command, *flags, *argv[1:]])
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -19,8 +19,11 @@ class EvaluationError(RuntimeError):
 
 def _check_integer(name: str, value, low: Optional[int] = None) -> None:
     """Raise a ValueError unless ``value`` is an integer (one that
-    ``operator.index`` takes, numpy's too) of at least ``low``, if given."""
+    ``operator.index`` takes, numpy's too, but not a bool) of at least
+    ``low``, if given."""
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None

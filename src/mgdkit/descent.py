@@ -64,7 +64,7 @@ class BacktrackParams:
         if not (self.eta0 > 0 and math.isfinite(self.eta0)):
             raise ValueError("eta0 must be positive and finite")
         try:
-            theta_ok = operator.index(self.theta) >= 1
+            theta_ok = not isinstance(self.theta, bool) and operator.index(self.theta) >= 1
         except TypeError:
             theta_ok = False
         if not theta_ok:

@@ -64,6 +64,9 @@ class ExperimentConfig:
             raise ValueError("trace_format must be 'csv' or 'json'")
         if not self.directions or not self.backtrackings:
             raise ValueError("need at least one direction and backtracking variant")
+        for variants in (self.directions, self.backtrackings):
+            if len(set(variants)) < len(variants):
+                raise ValueError("a direction or backtracking variant is repeated")
         # Their own checks reject bad step and LP settings before any run.
         self.backtrack_params(self.backtrackings[0])
         self.direction_config(self.directions[0])

@@ -173,8 +173,8 @@ def critical_region_scan(
         raise ValueError("resolution needs >= 2 cells per axis")
     try:
         i, j = map(operator.index, pair)
-    except TypeError:
-        i = j = 0  # not objective numbers: rejected below
+    except (TypeError, ValueError):
+        i = j = 0  # not two objective numbers: rejected below
     if not (1 <= i <= problem.m and 1 <= j <= problem.m) or i == j:
         raise ValueError("pair must be two distinct objective numbers")
     if not math.isfinite(tol):

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgdkit import (
+    BacktrackParams,
     BacktrackVariant,
+    DirectionConfig,
     DirectionVariant,
     ExperimentConfig,
     RunResult,
@@ -22,6 +24,7 @@ from mgdkit import (
     critical_region_scan,
     get_problem,
     run_experiment,
+    run_mgd_batch,
     sample_starts,
 )
 import mgdkit.harness as harness_mod
@@ -37,7 +40,7 @@ from mgdkit.harness import (
 )
 from oracles import ratio_and_front_oracle, run_mgd_oracle
 from test_descent import assert_same_run
-from test_golden import _blank_wall_times
+from test_golden import _blank_wall_times, _digests
 
 
 # The pid of the test process; a forked pool worker inherits it, not its pid.
@@ -162,6 +165,13 @@ class TestConfig:
             _small_config(trace_format="xml")
         with pytest.raises(ValueError):
             _small_config(directions=())
+        # A repeated variant would run each start twice and be reported twice.
+        with pytest.raises(ValueError, match="repeated"):
+            _small_config(directions=(DirectionVariant.LP_NEW, DirectionVariant.LP_NEW),
+                          backtrackings=(BacktrackVariant.BT_NEW,))
+        with pytest.raises(ValueError, match="repeated"):
+            _small_config(backtrackings=(BacktrackVariant.BT_BASE, BacktrackVariant.BT_NEW,
+                                         BacktrackVariant.BT_BASE))
         with pytest.raises(ValueError, match="workers must be >= 0"):
             _small_config(workers=-1)
         for max_iters in (0, -3):
@@ -174,6 +184,26 @@ class TestConfig:
                     _small_config(**{name: value})
         config = _small_config(n_starts=np.int64(2), seed=np.int64(1), max_iters=np.int64(3))
         assert config.n_starts == 2
+
+    def test_bool_is_not_an_integer(self):
+        # operator.index(True) is 1, yet a bool count would fail later in
+        # numpy or be echoed as true in report.json.
+        prob = get_problem("fonseca-fleming")
+        checks = {
+            "n_starts": lambda v: _small_config(n_starts=v),
+            "seed": lambda v: _small_config(seed=v),
+            "workers": lambda v: _small_config(workers=v),
+            "max_iters": lambda v: _small_config(max_iters=v),
+            "K": lambda v: run_mgd_batch(prob, np.zeros((1, 2)), BacktrackParams(),
+                                         DirectionConfig(DirectionVariant.LP_NEW), K=v),
+            "theta": lambda v: BacktrackParams(theta=v),
+            "count": lambda v: StartSampler(prob.domain_box, v, 0),
+            "n": lambda v: dataclasses.replace(prob, n=v),
+        }
+        for name, make in checks.items():
+            for value in (True, False, np.True_):
+                with pytest.raises(ValueError, match=f"^{name} must be"):
+                    make(value)
 
     def test_defaults_match_experiment_protocol(self):
         config = ExperimentConfig(problem="kursawe")
@@ -674,48 +704,71 @@ class TestPersistence:
         assert "bt-new" in text and "lp-base" in text
 
 
-class TestConfigFile:
+class TestArgFile:
+    """``@FILE`` reads flags from FILE in its place, as typed on the command
+    line; later flags override it."""
+
     @staticmethod
     def _echo(out) -> dict:
         return json.loads((out / "report.json").read_text())["config"]
 
-    def test_parse_and_override(self, tmp_path, capsys):
-        # Values are typed by their flags; command-line flags override them.
-        path = tmp_path / "exp.cfg"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_run_equals_flag_run(self, tmp_path, capsys, fmt):
+        flags = ["--n-starts", "3", "--max-iters", "20", "--traces", "--format", fmt,
+                 "--workers", "0"]
+        path = tmp_path / "t1.args"
+        path.write_text(" ".join(flags[:4]) + "\n" + "\n".join(flags[4:]) + "\n")
+        assert main(["table1", *flags, "--out", str(tmp_path / "flags")]) == EXIT_OK
+        assert main(["table1", f"@{path}", "--out", str(tmp_path / "file")]) == EXIT_OK
+        names = ("front_", "trace_", "report.")
+        digests = [_digests(str(tmp_path / d), names) for d in ("flags", "file")]
+        assert len(digests[0]) == 3 * (2 + 4 + 12)
+        assert digests[0] == digests[1]
+
+    def test_comments_quoting_and_override(self, tmp_path, capsys):
+        path = tmp_path / "exp.args"
+        out = tmp_path / "out dir"
         path.write_text(
             "# experiment setup\n"
-            "problem = kursawe\n"
-            "n_starts = 4  # small\n"
-            "seed = 11\n"
-            "c1 = 1e-8\n"
-            "paper_semantics = false\n"
-            "max_iters = 3\n"
+            "--problem kursawe --n-starts 4  # small\n"
+            "--seed=11 --c1 1e-8\n"
+            "\n"
+            f"--out '{out}'\n"
+            "--max-iters 3 --workers 0\n"
         )
-        argv = ["run", "--config", str(path), "--workers", "0"]
-        assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
-        echo = self._echo(tmp_path / "a")
-        assert {k: echo[k] for k in ("problem", "n_starts", "seed", "c1", "paper_semantics")} == {
-            "problem": "kursawe", "n_starts": 4, "seed": 11, "c1": 1e-8,
-            "paper_semantics": False,
+        assert main(["run", f"@{path}"]) == EXIT_OK
+        echo = self._echo(out)
+        assert {k: echo[k] for k in ("problem", "n_starts", "seed", "c1", "max_iters")} == {
+            "problem": "kursawe", "n_starts": 4, "seed": 11, "c1": 1e-8, "max_iters": 3,
         }
         assert [type(echo[k]) for k in ("n_starts", "c1")] == [int, float]
-        assert main([*argv, "--seed", "12", "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert main(["run", f"@{path}", "--seed", "12", "--out", str(tmp_path / "b")]) == EXIT_OK
         assert self._echo(tmp_path / "b")["seed"] == 12
+        assert self._echo(out)["seed"] == 11  # the override wrote elsewhere
 
-    def test_every_field_is_a_key_and_echoed_in_order(self, tmp_path, capsys):
-        # Each field but the variant tuples (the file names one variant each)
-        # reads back from a config file; the report echoes the fields in
+    def test_every_field_is_a_flag_and_echoed_in_order(self, tmp_path, capsys):
+        # Each field but the variant tuples (the flags name one variant each)
+        # reads back from an argument file; the report echoes the fields in
         # declaration order, leaving out where and how outputs are written.
         out = tmp_path / "exp"
         config = _small_config(n_starts=1, max_iters=2, out_dir=str(out),
-                               emit_traces=True, trace_format="json")
+                               emit_traces=True, trace_format="json", paper_semantics=True)
+        flags = {
+            "problem": "--problem", "n_starts": "--n-starts", "seed": "--seed",
+            "c1": "--c1", "alpha": "--alpha", "eta0": "--eta0", "theta": "--theta",
+            "epsilon": "--epsilon", "max_iters": "--max-iters", "out_dir": "--out",
+            "emit_traces": "--traces", "trace_format": "--format",
+            "paper_semantics": "--paper-semantics", "workers": "--workers",
+        }
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
-        values = {name: getattr(config, name) for name in names
-                  if name not in ("directions", "backtrackings")}
-        path = tmp_path / "all.cfg"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
-                        + "direction = lp-new\nbacktracking = bt-base\n")
-        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert sorted(names) == sorted([*flags, "directions", "backtrackings"])
+        values = {name: getattr(config, name) for name in flags}
+        path = tmp_path / "all.args"
+        path.write_text("".join(
+            f"{flag}\n" if value is True else f"{flag} {value}\n"
+            for flag, value in ((flags[k], v) for k, v in values.items())
+        ) + "--direction lp-new\n--backtracking bt-base\n")
+        assert main(["run", f"@{path}"]) == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == [
             "front_bt-base_lp-new.json", "report.json", "report.txt",
             "trace_bt-base_lp-new_00000.json",
@@ -728,58 +781,64 @@ class TestConfigFile:
             "directions": ["lp-new"], "backtrackings": ["bt-base"],
         }
 
-    def test_parse_errors_carry_location(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        for text, message in [
-            ("problem kursawe\n", "bad.cfg:1: expected key=value"),
-            ("problem = kursawe\n\nfrobnicate = 3\n", "bad.cfg:3: unknown key 'frobnicate'"),
-            ("config = other.cfg\n", "bad.cfg:1: unknown key 'config'"),
-        ]:
-            path.write_text(text)
-            assert main(["run", "--config", str(path)]) == EXIT_USAGE
-            assert message in capsys.readouterr().err
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.args"
+        assert main(["run", f"@{missing}", "--problem", "kursawe"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: [Errno 2] No such file or directory: ")
+        assert "missing.args" in err
 
     @pytest.mark.parametrize(
-        "key, value, flags",
+        "flags, name",
         [
-            ("direction", "lp-bogus", ["--direction", "lp-bogus"]),
-            ("n_starts", "two", ["--n-starts", "two"]),
-            ("problem", "nope", ["--problem", "nope"]),
-            ("emit_traces", "yes", ["--traces=yes"]),
+            (["--direction", "lp-bogus"], "--direction"),
+            (["--n-starts", "two"], "--n-starts"),
+            (["--problem", "nope"], "--problem"),
+            (["--traces=yes"], "--traces"),
+            (["--frobnicate", "3"], "--frobnicate"),
             # Values that parse but fail the config's own range checks.
-            ("n_starts", "0", ["--n-starts", "0"]),
-            ("alpha", "2", ["--alpha", "2"]),
-            ("workers", "-2", ["--workers", "-2"]),
+            (["--n-starts", "0"], "n_starts"),
+            (["--alpha", "2"], "alpha"),
+            (["--workers", "-2"], "workers"),
+            (["--seed", "-1"], "seed"),
             # Non-finite values, which report.json could not hold.
-            ("eta0", "nan", ["--eta0", "nan"]),
-            ("eta0", "inf", ["--eta0", "inf"]),
-            ("epsilon", "inf", ["--epsilon", "inf"]),
-            ("epsilon", "nan", ["--epsilon", "nan"]),
+            (["--eta0", "nan"], "eta0"),
+            (["--eta0", "inf"], "eta0"),
+            (["--epsilon", "inf"], "epsilon"),
+            (["--epsilon", "nan"], "epsilon"),
         ],
     )
-    def test_bad_value_in_file_or_flag_is_usage_error(self, tmp_path, capsys, key, value, flags):
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"problem = kursawe\nn_starts = 2\n{key} = {value}\n")
-        assert main(["run", "--config", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"usage error: {path}:3: ")
-        argv = ["run", "--problem", "kursawe", "--n-starts", "2", *flags]
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("usage error: ")
+    def test_bad_value_in_file_is_flags_usage_error(self, tmp_path, capsys, flags, name):
+        # The same message as the flag on the command line, naming the flag
+        # (or its field), and no output is written.
+        argv = ["run", "--problem", "kursawe", "--n-starts", "2", "--out", str(tmp_path / "o")]
+        assert main([*argv, *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and name in err
+        path = tmp_path / "bad.args"
+        path.write_text(" ".join(flags) + "\n")
+        assert main([*argv, f"@{path}"]) == EXIT_USAGE
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
 
-    def test_table1_file_names_no_variant(self, tmp_path, capsys):
-        # table1 always runs all three problems and all four variants and has
-        # no problem or variant flags, so its config file takes no such key.
-        path = tmp_path / "t1.cfg"
-        for line, flags, message in [
-            ("direction = lp-new", [], "t1.cfg:2: unknown key 'direction'"),
-            ("problem = viennet", [], "t1.cfg:2: unknown key 'problem'"),
-            ("max_iters = 2", ["--problem", "viennet"],
-             "unrecognized arguments: --problem viennet"),
-        ]:
-            path.write_text(f"n_starts = 2\n{line}\n")
-            argv = ["table1", "--config", str(path), "--workers", "0", *flags]
-            assert main(argv) == EXIT_USAGE
-            assert message in capsys.readouterr().err
+    def test_table1_file_names_no_problem_or_variant(self, tmp_path, capsys):
+        # table1 always runs all three problems and all four variants, so it
+        # has no such flags, in a file or not.
+        path = tmp_path / "t1.args"
+        for line in ["--problem viennet", "--direction lp-new"]:
+            path.write_text(f"--n-starts 2\n{line}\n")
+            assert main(["table1", f"@{path}", "--workers", "0"]) == EXIT_USAGE
+            assert f"unrecognized arguments: {line}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["17", "not-a-number"])
+    def test_seed_ignores_environment(self, capsys, monkeypatch, env):
+        # Without --seed a run takes ExperimentConfig's seed 0.
+        monkeypatch.setenv("MGD_SEED", env)
+        argv = ["run", "--problem", "fonseca-fleming", "--direction", "lp-new",
+                "--backtracking", "bt-base", "--n-starts", "2", "--max-iters", "10",
+                "--workers", "1"]
+        assert main(argv) == EXIT_OK
+        assert "seed = 0\n" in capsys.readouterr().out
 
 
 class TestCli:
@@ -839,8 +898,13 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        missing = str(tmp_path / "missing.cfg")
-        assert main(["run", "--config", missing]) == EXIT_RUNTIME
+        # The output directory cannot be made under a regular file.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["run", "--problem", "fonseca-fleming", "--n-starts", "2",
+                "--max-iters", "5", "--workers", "0", "--out", str(blocker / "out")]
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_scan_smoke(self, tmp_path, capsys):
         code = main(
@@ -878,6 +942,8 @@ class TestCli:
         [
             ("1,1", "16", "pair must be two distinct objective numbers"),
             ("1,4", "16", "pair must be two distinct objective numbers"),
+            ("1,2,3", "16", "pair must be two distinct objective numbers"),
+            ("1", "16", "pair must be two distinct objective numbers"),
             ("1,3", "1", "resolution needs >= 2 cells per axis"),
         ],
     )
@@ -910,52 +976,7 @@ class TestCli:
         assert payload["marked_cells"] == int(mask.sum()) > 0
         assert payload["cells"] == [[int(i), int(j)] for i, j in np.argwhere(mask)]
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("MGD_SEED", "17")
-        code = main(
-            [
-                "run",
-                "--problem", "fonseca-fleming",
-                "--direction", "lp-new",
-                "--backtracking", "bt-base",
-                "--n-starts", "2",
-                "--max-iters", "10",
-                "--workers", "1",
-            ]
-        )
-        assert code == EXIT_OK
-        assert "seed = 17" in capsys.readouterr().out
-
-    def test_bad_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MGD_SEED", "not-a-number")
-        assert main(
-            ["run", "--problem", "fonseca-fleming", "--n-starts", "2"]
-        ) == EXIT_USAGE
-
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        # From a flag, MGD_SEED or a config line, before any run starts.
+    def test_negative_seed_is_usage_error(self, capsys):
         argv = ["run", "--problem", "fonseca-fleming", "--n-starts", "2", "--workers", "1"]
         assert main([*argv, "--seed", "-1"]) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: seed must be >= 0\n"
-        monkeypatch.setenv("MGD_SEED", "-1")
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err == "usage error: seed must be >= 0\n"
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("problem = fonseca-fleming\nseed = -1\n")
-        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"usage error: {cfg}:2: seed must be >= 0\n"
-
-    def test_config_file_with_flag_override(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("problem = fonseca-fleming\nn_starts = 2\nseed = 5\n")
-        code = main(
-            [
-                "run",
-                "--config", str(cfg),
-                "--seed", "9",
-                "--max-iters", "10",
-                "--workers", "1",
-            ]
-        )
-        assert code == EXIT_OK
-        assert "seed = 9" in capsys.readouterr().out

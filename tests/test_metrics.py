@@ -274,7 +274,7 @@ class TestCriticalRegionScan:
             critical_region_scan(prob, prob.domain_box, [8, 8], (0, 1), 1e-3)
         # Objective numbers are integers: 1.5 lies between 1 and m but is none.
         viennet = get_problem("viennet")
-        for pair in ((1.5, 3), (1, 2.0), ("1", 3)):
+        for pair in ((1.5, 3), (1, 2.0), ("1", 3), (1, 2, 3), (1,), ()):
             with pytest.raises(ValueError, match="pair"):
                 critical_region_scan(viennet, viennet.domain_box, [4, 4], pair, 0.1)
         mask = critical_region_scan(viennet, viennet.domain_box, [4, 4], np.int64([1, 3]), 0.1)
