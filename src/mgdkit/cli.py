@@ -61,8 +61,6 @@ def _add_common(p: _Parser, one_problem: bool = True):
                    help="trace/front file format")
     p.add_argument("--workers", type=int,
                    help="jobs the runs are split into, one in-process (default: cores)")
-    p.add_argument("--paper-semantics", action="store_true", default=None,
-                   help="loop on zero directions instead of stopping early")
     p.add_argument("--traces", dest="emit_traces", action="store_true", default=None,
                    help="write per-run trajectory files")
 
@@ -187,7 +185,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except RecursionError:  # argparse follows @FILE inside FILE without a depth limit
+            raise UsageError("an argument file includes itself") from None
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

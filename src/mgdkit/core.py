@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,15 +37,13 @@ class Problem:
 
     ``evaluator`` maps a point x (shape (n,)) to a pair ``(f, jac)`` with
     f of shape (m,) and jac of shape (m, n), row i being grad f_i(x).
-    ``f_batch``, if given, maps an (N, n) array of points to an (N, m)
-    array of objective values.  ``jac_batch``, if given, maps (N, n)
-    points to the (N, m, n) stack of their Jacobians.  The descent
-    evaluates its iterates and line searches through them and the domain
-    scan its grid, so both must give ``evaluator``'s values bit for bit
-    for a run to follow the same iterates as with the evaluator alone.
-    The built-in problems state their objectives only in these kernels
-    and take ``evaluator`` as row 0 of a one-row batch.  Without them,
-    ``eval_f_batch`` and ``eval_jac_batch`` loop ``evaluator``.
+    ``f_batch`` maps an (N, n) array of points to an (N, m) array of
+    objective values, and ``jac_batch`` maps them to the (N, m, n) stack
+    of their Jacobians.  The descent evaluates its iterates and line
+    searches through the kernels and the domain scan its grid, and
+    ``evaluate`` a single point through ``evaluator``, so the three must
+    agree bit for bit.  The built-in problems state their objectives only
+    in the kernels and take ``evaluator`` as row 0 of a one-row batch.
     """
 
     name: str
@@ -54,8 +52,8 @@ class Problem:
     evaluator: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain_box: np.ndarray  # shape (n, 2), columns (lower, upper)
     default_max_iters: int
-    f_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
-    jac_batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None)
+    f_batch: Callable[[np.ndarray], np.ndarray]
+    jac_batch: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         _check_integer("n", self.n, 1)
@@ -69,20 +67,6 @@ class Problem:
         if not np.all(box[:, 0] < box[:, 1]):
             raise ValueError("domain_box lower bounds must be < upper bounds")
         object.__setattr__(self, "domain_box", box)
-
-    def eval_f_batch(self, X: np.ndarray) -> np.ndarray:
-        """Objective values for a batch of points, shape (N, n) -> (N, m)."""
-        X = np.asarray(X, dtype=float)
-        if self.f_batch is not None:
-            return self.f_batch(X)
-        return np.array([self.evaluator(x)[0] for x in X]).reshape(len(X), self.m)
-
-    def eval_jac_batch(self, X: np.ndarray) -> np.ndarray:
-        """Jacobians for a batch of points, shape (N, n) -> (N, m, n)."""
-        X = np.asarray(X, dtype=float)
-        if self.jac_batch is not None:
-            return self.jac_batch(X)
-        return np.array([self.evaluator(x)[1] for x in X]).reshape(len(X), self.m, self.n)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ class BacktrackParams:
     theta: int = 40
     eta_hat: Optional[float] = None  # defaults to eta0 * alpha**theta
     variant: BacktrackVariant = BacktrackVariant.BT_NEW
-    paper_semantics: bool = False  # disable the zero-direction early stop
 
     def __post_init__(self):
         if not 0 < self.c1 < 1:
@@ -123,7 +122,7 @@ def _armijo_ladder(
     """
     etas = params._ladder
     W, n = X.shape
-    FL = problem.eval_f_batch(
+    FL = problem.f_batch(
         (X[:, None, :] + etas[:, None] * P[:, None, :]).reshape(W * etas.size, n)
     ).reshape(W, etas.size, -1)
     # np.matmul, not einsum or a sum of products: it rounds each row's
@@ -184,8 +183,8 @@ def _evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     W, m, n = len(X), problem.m, problem.n
     if X.ndim == 2 and X.shape[1] == n and np.isfinite(X).all():
         try:
-            F = np.asarray(problem.eval_f_batch(X), dtype=float)
-            J = np.asarray(problem.eval_jac_batch(X), dtype=float)
+            F = np.asarray(problem.f_batch(X), dtype=float)
+            J = np.asarray(problem.jac_batch(X), dtype=float)
         except Exception:
             pass  # retried row by row below, where the error is kept per row
         else:
@@ -296,7 +295,6 @@ def _lockstep(
         K = problem.default_max_iters
     _check_integer("K", K, 1)
     bt_new = params.variant is BacktrackVariant.BT_NEW
-    paper = params.paper_semantics
     X0 = np.array(X0, dtype=float)  # a copy: runs that end at their start keep its rows
     # Run j's exception, or its (x_hat, f_hat, termination, iterations)
     # until its RunResult is built after the loop.
@@ -356,9 +354,8 @@ def _lockstep(
         # The direction: a zero one stops its run.
         (P, beta, cases, errors), _ = _solve_batch(J, lp_new[live], epsilon)
         keep = fail(k, errors)
-        if not paper:
-            zero = np.abs(P).max(axis=1) <= TOL_ZERO_DIR
-            keep = stop(k, keep, zero, True, Termination.ZERO_DIRECTION)
+        zero = np.abs(P).max(axis=1) <= TOL_ZERO_DIR
+        keep = stop(k, keep, zero, True, Termination.ZERO_DIRECTION)
         if keep is not None:
             live, X, F, J, P, beta, cases = _rows(keep, live, X, F, J, P, beta, cases)
             if not live.size:
@@ -402,13 +399,12 @@ def _lockstep(
                 stored_log.append(_rows(store, live, X, F))
         log_trace(k, live, X, F, P, beta, cases, eta, sat)
         X, F, J = X_new, F_new, J_new
-        if not paper:
-            # A fallback step of zero was accepted: the sequence is constant
-            # from here on; finishing the budget would change nothing.
-            moved = eta != 0.0
-            if not moved.all():
-                end(*_rows(~moved, live, X, F), Termination.ZERO_DIRECTION, k)
-                live, X, F, J = _rows(moved, live, X, F, J)
+        # A fallback step of zero was accepted: the sequence is constant
+        # from here on; finishing the budget would change nothing.
+        moved = eta != 0.0
+        if not moved.all():
+            end(*_rows(~moved, live, X, F), Termination.ZERO_DIRECTION, k)
+            live, X, F, J = _rows(moved, live, X, F, J)
 
     end(live, X, F, Termination.MAX_ITERS, K)
 

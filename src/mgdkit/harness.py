@@ -51,7 +51,6 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     emit_traces: bool = False
     trace_format: str = "csv"
-    paper_semantics: bool = False
     workers: int = 0  # jobs the rows are split into: one in-process, the rest in a pool
 
     def __post_init__(self):
@@ -78,7 +77,6 @@ class ExperimentConfig:
             eta0=self.eta0,
             theta=self.theta,
             variant=backtracking,
-            paper_semantics=self.paper_semantics,
         )
 
     def direction_config(self, direction: DirectionVariant) -> DirectionConfig:

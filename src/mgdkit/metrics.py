@@ -157,10 +157,9 @@ def critical_region_scan(
     like the grid.
 
     The cells are evaluated ``_SCAN_CHUNK`` at a time through
-    ``problem.eval_jac_batch``, so apart from the one-byte-per-cell mask
-    the working memory is bounded by the chunk, not the grid; the result
-    is the same as evaluating the cells one by one with
-    ``problem.evaluator``.
+    ``problem.jac_batch``, so apart from the one-byte-per-cell mask the
+    working memory is bounded by the chunk, not the grid; the result is
+    the same as evaluating the cells one by one with ``problem.evaluator``.
     """
     box = np.asarray(box, dtype=float).reshape(-1, 2)
     n = box.shape[0]
@@ -172,7 +171,10 @@ def critical_region_scan(
     if len(resolution) != n or any(r < 2 for r in resolution):
         raise ValueError("resolution needs >= 2 cells per axis")
     try:
-        i, j = map(operator.index, pair)
+        i, j = pair
+        for v in (i, j):
+            _check_integer("pair", v)  # True is no objective number
+        i, j = operator.index(i), operator.index(j)
     except (TypeError, ValueError):
         i = j = 0  # not two objective numbers: rejected below
     if not (1 <= i <= problem.m and 1 <= j <= problem.m) or i == j:
@@ -192,7 +194,7 @@ def critical_region_scan(
     for start in range(0, cells, _SCAN_CHUNK):
         # The chunk's cell centres, in the grid's C order.
         idx = np.unravel_index(np.arange(start, min(start + _SCAN_CHUNK, cells)), resolution)
-        jac = problem.eval_jac_batch(np.column_stack([axes[a][idx[a]] for a in range(n)]))
+        jac = problem.jac_batch(np.column_stack([axes[a][idx[a]] for a in range(n)]))
         gi, gj = jac[:, i], jac[:, j]
         # np.linalg.norm of a vector is sqrt(dot(g, g)); vecdot is its row-wise form.
         ni = np.sqrt(np.vecdot(gi, gi))

@@ -314,7 +314,7 @@ def _backtrack_oracle(
     decreases every objective enough, else the fallback step."""
     x, f, slopes = ev.x, ev.f, ev.jac @ p
     etas = params._ladder
-    F = problem.eval_f_batch(x + etas[:, None] * p)
+    F = problem.f_batch(x + etas[:, None] * p)
     ok = np.all(F <= f + etas[:, None] * (params.c1 * slopes), axis=1)
     hits = np.nonzero(ok)[0]
     if hits.size:
@@ -381,7 +381,7 @@ def run_mgd_oracle(
     for k in range(K):
         try:
             d = solve_direction(ev.jac, dir_cfg.variant, dir_cfg.epsilon)
-            if not params.paper_semantics and np.abs(d.p_star).max() <= TOL_ZERO_DIR:
+            if np.abs(d.p_star).max() <= TOL_ZERO_DIR:
                 record(k, ev, d, 0.0, True)
                 termination = Termination.ZERO_DIRECTION
                 break
@@ -404,7 +404,7 @@ def run_mgd_oracle(
             stored_f.append(ev.f)
         record(k, ev, d, eta, satisfied)
         ev = ev_new
-        if eta == 0.0 and not params.paper_semantics:
+        if eta == 0.0:
             termination = Termination.ZERO_DIRECTION
             break
     else:

@@ -16,12 +16,10 @@ from mgdkit import (
     DirectionConfig,
     DirectionVariant,
     Evaluation,
-    ExperimentConfig,
     StartSampler,
     critical_region_scan,
     evaluate,
     get_problem,
-    run_experiment,
     run_mgd,
     sample_starts,
     solve_blockwise,
@@ -38,7 +36,6 @@ from oracles import (
 )
 
 SEED = 42
-N_STARTS = 100
 
 
 def _ratios(report):
@@ -46,32 +43,6 @@ def _ratios(report):
         (v.backtracking.value, v.direction.value): v.pareto_ratio
         for v in report.variants
     }
-
-
-def _run(problem, max_iters):
-    config = ExperimentConfig(
-        problem=problem,
-        n_starts=N_STARTS,
-        seed=SEED,
-        max_iters=max_iters,
-        workers=0,
-    )
-    return run_experiment(config)
-
-
-@pytest.fixture(scope="module")
-def ff_report():
-    return _run("fonseca-fleming", 250)
-
-
-@pytest.fixture(scope="module")
-def kursawe_report():
-    return _run("kursawe", 1500)
-
-
-@pytest.fixture(scope="module")
-def viennet_report():
-    return _run("viennet", 7500)
 
 
 class TestCriterion1FonsecaFleming:

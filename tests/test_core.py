@@ -11,24 +11,42 @@ from mgdkit import (
     evaluate,
     get_problem,
 )
+from mgdkit.problems import _point_evaluator
 from oracles import critical_oracle
 
 
-def _toy_problem(evaluator, n=2, m=2, name="toy"):
+def _kernels(n, m, f_batch=None):
+    """A problem's evaluator and kernels: the objectives of ``f_batch``,
+    by default zero, and zero Jacobians."""
+    f_batch = f_batch or (lambda X: np.zeros((len(X), m)))
+    jac_batch = lambda X: np.zeros((len(X), m, n))
+    return dict(evaluator=_point_evaluator(f_batch, jac_batch), f_batch=f_batch,
+                jac_batch=jac_batch)
+
+
+def _toy_problem(kernels, n=2, m=2, name="toy"):
     return Problem(
         name=name,
         n=n,
         m=m,
-        evaluator=evaluator,
         domain_box=np.tile([-1.0, 1.0], (n, 1)),
         default_max_iters=10,
+        **kernels,
     )
 
 
 class TestProblemInvariants:
     def test_dimensions_validated(self):
         with pytest.raises(ValueError):
-            _toy_problem(lambda x: (np.zeros(2), np.zeros((2, 2))), n=0)
+            _toy_problem(_kernels(2, 2), n=0)
+
+    def test_kernels_required(self):
+        # Both batch kernels are fields without defaults, like the evaluator.
+        kernels = _kernels(2, 2)
+        for name in ("f_batch", "jac_batch"):
+            given = {k: v for k, v in kernels.items() if k != name}
+            with pytest.raises(TypeError, match=name):
+                _toy_problem(given)
 
     def test_box_shape_validated(self):
         with pytest.raises(ValueError):
@@ -36,9 +54,9 @@ class TestProblemInvariants:
                 name="bad",
                 n=2,
                 m=2,
-                evaluator=lambda x: (np.zeros(2), np.zeros((2, 2))),
                 domain_box=np.array([[0.0, 1.0]]),
                 default_max_iters=10,
+                **_kernels(2, 2),
             )
 
     def test_box_ordering_validated(self):
@@ -47,9 +65,9 @@ class TestProblemInvariants:
                 name="bad",
                 n=1,
                 m=1,
-                evaluator=lambda x: (np.zeros(1), np.zeros((1, 1))),
                 domain_box=np.array([[2.0, -2.0]]),
                 default_max_iters=10,
+                **_kernels(1, 1),
             )
 
 
@@ -59,8 +77,8 @@ class TestProblemInvariants:
     )
     def test_sizes_must_be_integers(self, field, value):
         # A float size or budget is rejected here, not when a run first uses it.
-        values = dict(name="bad", n=2, m=2, evaluator=lambda x: (np.zeros(2), np.zeros((2, 2))),
-                      domain_box=np.tile([-1.0, 1.0], (2, 1)), default_max_iters=10)
+        values = dict(name="bad", n=2, m=2, domain_box=np.tile([-1.0, 1.0], (2, 1)),
+                      default_max_iters=10, **_kernels(2, 2))
         values[field] = value
         with pytest.raises(ValueError, match=field):
             Problem(**values)
@@ -73,8 +91,7 @@ class TestProblemInvariants:
         box = np.tile([-1.0, 1.0], (2, 1))
         box[corner] = bound
         with pytest.raises(ValueError, match="finite"):
-            Problem(name="bad", n=2, m=2, evaluator=lambda x: (np.zeros(2), np.zeros((2, 2))),
-                    domain_box=box, default_max_iters=10)
+            Problem(name="bad", n=2, m=2, domain_box=box, default_max_iters=10, **_kernels(2, 2))
 
 
 class TestEvaluate:
@@ -109,10 +126,7 @@ class TestEvaluate:
             evaluate(prob, np.array([np.nan, 0.0]))
 
     def test_nonfinite_output_names_objective(self):
-        def evaluator(x):
-            return np.array([np.inf, 0.0]), np.zeros((2, 2))
-
-        prob = _toy_problem(evaluator)
+        prob = _toy_problem(_kernels(2, 2, lambda X: np.tile([np.inf, 0.0], (len(X), 1))))
         with pytest.raises(EvaluationError) as err:
             evaluate(prob, np.zeros(2))
         assert err.value.objective_index == 0

@@ -29,55 +29,53 @@ from mgdkit import (
 import mgdkit.descent as descent_mod
 from mgdkit.descent import TraceRecord, _lockstep
 from mgdkit.direction import _BATCH_MIN_WIDTH, _solve_batch
+from mgdkit.problems import _point_evaluator
 from oracles import SegmentKind, classify_subsequences, run_mgd_oracle
 
 LP_NEW = DirectionConfig(variant=DirectionVariant.LP_NEW)
 LP_BASE = DirectionConfig(variant=DirectionVariant.LP_BASE)
 
 
+def _toy_problem(name, n, m, f_batch, jac_batch, box, K):
+    """A problem stated in its kernels, its evaluator row 0 of a one-row batch."""
+    return Problem(
+        name=name,
+        n=n,
+        m=m,
+        evaluator=_point_evaluator(f_batch, jac_batch),
+        domain_box=np.tile(box, (n, 1)),
+        default_max_iters=K,
+        f_batch=f_batch,
+        jac_batch=jac_batch,
+    )
+
+
 def _problem_1d_pair():
     # f1 = x^2, f2 = (x - 2)^2 on the line.
-    def evaluator(x):
-        f = np.array([x[0] ** 2, (x[0] - 2.0) ** 2])
-        jac = np.array([[2.0 * x[0]], [2.0 * (x[0] - 2.0)]])
-        return f, jac
-
-    return Problem(
-        name="quadratic-pair",
-        n=1,
-        m=2,
-        evaluator=evaluator,
-        domain_box=np.array([[-5.0, 5.0]]),
-        default_max_iters=100,
+    return _toy_problem(
+        "quadratic-pair", 1, 2,
+        lambda X: np.hstack([X**2, (X - 2.0) ** 2]),
+        lambda X: np.stack([2.0 * X, 2.0 * (X - 2.0)], axis=1),
+        [-5.0, 5.0], 100,
     )
 
 
 def _problem_single_quadratic():
-    def evaluator(x):
-        return np.array([float(x @ x)]), (2.0 * x)[None, :]
-
-    return Problem(
-        name="single-quadratic",
-        n=2,
-        m=1,
-        evaluator=evaluator,
-        domain_box=np.tile([-2.0, 2.0], (2, 1)),
-        default_max_iters=200,
+    return _toy_problem(
+        "single-quadratic", 2, 1,
+        lambda X: np.vecdot(X, X)[:, None],
+        lambda X: (2.0 * X)[:, None, :],
+        [-2.0, 2.0], 200,
     )
 
 
 def _problem_opposed_linear():
     # f1 = x1, f2 = -x1: every point is critical with opposed gradients.
-    def evaluator(x):
-        return np.array([x[0], -x[0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])
-
-    return Problem(
-        name="opposed-linear",
-        n=2,
-        m=2,
-        evaluator=evaluator,
-        domain_box=np.tile([-1.0, 1.0], (2, 1)),
-        default_max_iters=50,
+    return _toy_problem(
+        "opposed-linear", 2, 2,
+        lambda X: np.column_stack([X[:, 0], -X[:, 0]]),
+        lambda X: np.broadcast_to([[1.0, 0.0], [-1.0, 0.0]], (len(X), 2, 2)),
+        [-1.0, 1.0], 50,
     )
 
 
@@ -335,11 +333,14 @@ class TestRunMgd:
         # prefixed to its message, here and in the one-start oracle.
         base = _problem_1d_pair()
 
-        def evaluator(x):
-            f, jac = base.evaluator(x)
-            return (np.array([f[0], np.nan]) if x[0] < 3.0 else f), jac
+        def f_batch(X):
+            F = base.f_batch(X)
+            F[X[:, 0] < 3.0, 1] = np.nan
+            return F
 
-        problem = dataclasses.replace(base, evaluator=evaluator)
+        problem = dataclasses.replace(
+            base, evaluator=_point_evaluator(f_batch, base.jac_batch), f_batch=f_batch
+        )
         params = BacktrackParams(variant=BacktrackVariant.BT_NEW)
         errors = []
         for run in (run_mgd, run_mgd_oracle):
@@ -392,10 +393,8 @@ class TestLockstep:
             dict(variant=BacktrackVariant.BT_NEW, eta_hat=0.0),
         ]
         seen = set()
-        for bt, cfg, record, paper in itertools.product(
-            backtrackings, (LP_BASE, LP_NEW), (True, False), (False, True)
-        ):
-            params = BacktrackParams(paper_semantics=paper, **bt)
+        for bt, cfg, record in itertools.product(backtrackings, (LP_BASE, LP_NEW), (True, False)):
+            params = BacktrackParams(**bt)
             runs = run_mgd_batch(prob, starts, params, cfg, K=40, record_trace=record)
             assert len(runs) == len(starts)
             for x0, run in zip(starts, runs):
@@ -461,13 +460,13 @@ def assert_same_outcome(got, expected):
         assert_same_run(got, expected)
 
 
-def _twins(prob, starts, K, paper=False, record=True):
+def _twins(prob, starts, K, record=True):
     """One lockstep of each start under lp-base and lp-new (rows direction
     by direction): its bt-new outcomes with the bt-base twins read off
     them, the bt-new-only outcomes and the bt-base-only outcomes."""
     X0 = np.tile(starts, (2, 1))
     lp_new = np.repeat([False, True], len(starts))
-    new, base = (BacktrackParams(variant=v, paper_semantics=paper)
+    new, base = (BacktrackParams(variant=v)
                  for v in (BacktrackVariant.BT_NEW, BacktrackVariant.BT_BASE))
     both = _lockstep(prob, X0, lp_new, new, 1.0, K, record, cut=True)
     new_alone = _lockstep(prob, X0, lp_new, new, 1.0, K, record)
@@ -481,18 +480,17 @@ class TestBtBaseTwins:
     def test_twins_equal_bt_base_runs(self):
         # Every bt-base result read off a bt-new row equals that start's
         # bt-base-only run, and the bt-new results equal the bt-new-only
-        # runs, on every problem, traced or not, under the paper's
-        # semantics too.  The twins cover ladder failures at k = 0 and
-        # later, and runs that end on a zero direction or at the budget
-        # before any ladder failure, some of whose bt-new runs store points
-        # that their twins do not.
+        # runs, on every problem, traced or not.  The twins cover ladder
+        # failures at k = 0 and later, and runs that end on a zero
+        # direction or at the budget before any ladder failure, some of
+        # whose bt-new runs store points that their twins do not: on the
+        # opposed-linear problem each step keeps both objectives, so its
+        # point is stored.
         seen = set()
-        for name, K, paper, record in itertools.product(
-            sorted(PROBLEMS), (3, 40), (False, True), (True, False)
-        ):
-            prob = get_problem(name)
+        problems = [get_problem(name) for name in sorted(PROBLEMS)] + [_problem_opposed_linear()]
+        for prob, K, record in itertools.product(problems, (3, 40), (True, False)):
             starts = sample_starts(StartSampler(prob.domain_box, 12, 3))
-            both, new_alone, base_alone = _twins(prob, starts, K, paper, record)
+            both, new_alone, base_alone = _twins(prob, starts, K, record)
             for new, twin, expected_new, expected in zip(
                 both[BacktrackVariant.BT_NEW], both[BacktrackVariant.BT_BASE], new_alone, base_alone
             ):

@@ -4,10 +4,12 @@ A small Table-1 run with traces, written once as CSV and once as JSON, and
 four domain scans are hashed file by file: every front, trace and
 scan-mask file, and every report with its wall-time values blanked.  The
 first Table-1 run is repeated at 2 workers, one job in-process and one in
-a pool, whose fronts and traces must match the serial run's digests.  A
-change that moves any of these bytes must say why and record the digests
-again with
-``PYTHONPATH=src python tests/test_golden.py``.
+a pool, whose fronts and traces must match the serial run's digests.  The
+fronts and ``report.json`` of the full Table-1 protocol, the experiments
+of ``conftest.py``, are hashed too, under ``table1-full/``.  A change that
+moves any of these bytes must say why and record the digests again with
+``PYTHONPATH=src python tests/test_golden.py``, which prints each digest
+it adds, changes or drops.
 """
 
 import hashlib
@@ -20,6 +22,8 @@ import mgdkit.harness as harness
 from mgdkit.cli import EXIT_OK, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+# The files hashed of the full protocol, which conftest.run_protocol writes under table1-full/.
+FULL, FULL_FILES = "table1-full/", ("front_", "report.json")
 
 COMMANDS = (
     ("table1", "table1", "--n-starts", "3", "--max-iters", "40", "--seed", "42",
@@ -80,10 +84,23 @@ def output_digests(root: str) -> dict:
     return _digests(root, ("front_", "trace_", "scan_", "report."))
 
 
-def test_outputs_match_recorded_digests(tmp_path):
+def _recorded(full: bool) -> dict:
+    """The recorded digests of the full protocol's files, or of all others."""
     with open(GOLDEN) as fh:
-        expected = json.load(fh)
-    assert output_digests(str(tmp_path)) == expected
+        return {k: v for k, v in json.load(fh).items() if k.startswith(FULL) == full}
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    assert output_digests(str(tmp_path)) == _recorded(full=False)
+
+
+def test_full_protocol_matches_recorded_digests(
+    protocol_root, ff_report, kursawe_report, viennet_report
+):
+    # The 12 fronts and 3 reports of the experiments the acceptance tests check.
+    expected = _recorded(full=True)
+    assert len(expected) == 3 * (4 + 1)
+    assert _digests(protocol_root, FULL_FILES) == expected
 
 
 def test_pooled_traces_match_recorded_digests(tmp_path, monkeypatch):
@@ -111,10 +128,25 @@ def test_pooled_traces_match_recorded_digests(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
-    with tempfile.TemporaryDirectory() as root:
+    from conftest import PROTOCOL, run_protocol
+
+    # The commands' own reports would bury the list of changed digests.
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stdout(io.StringIO()):
         digests = output_digests(root)
+    with tempfile.TemporaryDirectory() as root:
+        for problem in PROTOCOL:
+            run_protocol(problem, root)
+        digests = dict(sorted({**digests, **_digests(root, FULL_FILES)}.items()))
+    with open(GOLDEN) as fh:
+        old = json.load(fh)
+    for key in sorted(old.keys() | digests.keys()):
+        if old.get(key) != digests.get(key):
+            change = "added" if key not in old else "dropped" if key not in digests else "changed"
+            sys.stdout.write(f"{change} {key}\n")
     with open(GOLDEN, "w") as fh:
         json.dump(digests, fh, indent=1)
         fh.write("\n")

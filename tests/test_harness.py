@@ -27,6 +27,7 @@ from mgdkit import (
     run_mgd_batch,
     sample_starts,
 )
+import mgdkit.cli as cli_mod
 import mgdkit.harness as harness_mod
 import mgdkit.metrics as metrics_mod
 import mgdkit.problems as problems_mod
@@ -106,17 +107,34 @@ def _record_variants(monkeypatch) -> dict:
     return outcomes
 
 
-def _exploding_problem(fails):
-    """Fonseca-Fleming in 3 variables whose evaluator raises at the points
-    where ``fails`` holds, without batched kernels."""
+def _faulty_problem(fault):
+    """Fonseca-Fleming in 3 variables whose kernels, and so its evaluator,
+    first call ``fault(X, F)`` on their rows X and objectives F, which may
+    raise or write into F.  A batch with one faulty row raises as a whole,
+    so the descent retries its rows one by one."""
     base = problems_mod.fonseca_fleming(3)
 
-    def evaluator(x):
-        if fails(x):
-            raise RuntimeError("synthetic failure")
-        return base.evaluator(x)
+    def f_batch(X):
+        F = base.f_batch(X)
+        fault(X, F)
+        return F
 
-    return dataclasses.replace(base, evaluator=evaluator, f_batch=None, jac_batch=None)
+    def jac_batch(X):
+        fault(X, base.f_batch(X))
+        return base.jac_batch(X)
+
+    return dataclasses.replace(base, evaluator=problems_mod._point_evaluator(f_batch, jac_batch),
+                               f_batch=f_batch, jac_batch=jac_batch)
+
+
+def _exploding_problem(fails):
+    """Fonseca-Fleming in 3 variables that raises at the points where ``fails`` holds."""
+
+    def fault(X, F):
+        if any(map(fails, X)):
+            raise RuntimeError("synthetic failure")
+
+    return _faulty_problem(fault)
 
 
 class _TwoArgError(Exception):
@@ -496,15 +514,12 @@ class TestRunExperiment:
     def test_failure_causes_counted_by_type(self, monkeypatch, tmp_path, workers):
         # Runs whose evaluator raises fail with its RuntimeError; runs that
         # reach a NaN fail with an EvaluationError.  The report counts both.
-        base = problems_mod.fonseca_fleming(3)
-
-        def evaluator(x):
-            if x[0] > 0.9:
+        def fault(X, F):
+            if (X[:, 0] > 0.9).any():
                 raise RuntimeError("synthetic failure")
-            f, jac = base.evaluator(x)
-            return (np.array([f[0], np.nan]) if x[1] < -0.9 else f), jac
+            F[X[:, 1] < -0.9, 1] = np.nan
 
-        faulty = dataclasses.replace(base, evaluator=evaluator, f_batch=None, jac_batch=None)
+        faulty = _faulty_problem(fault)
         monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: faulty)
         out = tmp_path / "exp"
         config = _small_config(n_starts=40, seed=2, max_iters=5, workers=workers,
@@ -524,14 +539,11 @@ class TestRunExperiment:
     def test_failure_cause_keeps_exception_type(self, monkeypatch, workers):
         # A run ended by an exception that cannot be rebuilt from one message
         # fails with that exception, not with the TypeError of rebuilding it.
-        base = problems_mod.fonseca_fleming(3)
-
-        def evaluator(x):
-            if x[0] > 0.5:
+        def fault(X, F):
+            if (X[:, 0] > 0.5).any():
                 raise _TwoArgError("E1", "bad point")
-            return base.evaluator(x)
 
-        faulty = dataclasses.replace(base, evaluator=evaluator, f_batch=None, jac_batch=None)
+        faulty = _faulty_problem(fault)
         monkeypatch.setitem(problems_mod.PROBLEMS, "fonseca-fleming", lambda: faulty)
         report = run_experiment(_small_config(n_starts=20, seed=2, max_iters=5, workers=workers))
         for v in report.variants:
@@ -606,13 +618,10 @@ class TestPersistence:
         assert parsed["problem"] == "fonseca-fleming"
         assert len(parsed["variants"]) == 4
 
-    def test_numpy_bool_setting_is_a_json_bool(self, tmp_path):
-        # A setting given as a numpy bool is written as true, not "True".
-        out = str(tmp_path / "exp")
-        run_experiment(ExperimentConfig(problem="viennet", n_starts=1, max_iters=1,
-                                        paper_semantics=np.True_, out_dir=out))
-        with open(os.path.join(out, "report.json")) as fh:
-            assert json.loads(fh.read())["config"]["paper_semantics"] is True
+    def test_numpy_bool_setting_is_a_json_bool(self):
+        # A numpy bool is written as true, not "True".
+        assert _json_text(np.True_) == "true" and _json_text(np.False_) == "false"
+        assert json.loads(_json_text({"flag": np.True_}))["flag"] is True
 
     def test_front_and_trace_files(self, tmp_path):
         out = str(tmp_path / "exp")
@@ -752,13 +761,12 @@ class TestArgFile:
         # declaration order, leaving out where and how outputs are written.
         out = tmp_path / "exp"
         config = _small_config(n_starts=1, max_iters=2, out_dir=str(out),
-                               emit_traces=True, trace_format="json", paper_semantics=True)
+                               emit_traces=True, trace_format="json")
         flags = {
             "problem": "--problem", "n_starts": "--n-starts", "seed": "--seed",
             "c1": "--c1", "alpha": "--alpha", "eta0": "--eta0", "theta": "--theta",
             "epsilon": "--epsilon", "max_iters": "--max-iters", "out_dir": "--out",
-            "emit_traces": "--traces", "trace_format": "--format",
-            "paper_semantics": "--paper-semantics", "workers": "--workers",
+            "emit_traces": "--traces", "trace_format": "--format", "workers": "--workers",
         }
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert sorted(names) == sorted([*flags, "directions", "backtrackings"])
@@ -787,6 +795,24 @@ class TestArgFile:
         err = capsys.readouterr().err
         assert err.startswith("usage error: [Errno 2] No such file or directory: ")
         assert "missing.args" in err
+
+    def test_file_including_itself_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # A file that names itself, or a file that names it, would be read
+        # until Python's recursion limit; a RecursionError inside a run
+        # stays a runtime error.
+        (tmp_path / "self.args").write_text(f"--seed 1 @{tmp_path / 'self.args'}\n")
+        (tmp_path / "a.args").write_text(f"@{tmp_path / 'b.args'}\n")
+        (tmp_path / "b.args").write_text(f"--seed 2\n@{tmp_path / 'a.args'}\n")
+        for name in ("self.args", "a.args"):
+            assert main(["run", f"@{tmp_path / name}"]) == EXIT_USAGE
+            assert capsys.readouterr().err == "usage error: an argument file includes itself\n"
+
+        def too_deep(config):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", too_deep)
+        assert main(["run", "--problem", "kursawe"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: maximum recursion depth exceeded\n"
 
     @pytest.mark.parametrize(
         "flags, name",

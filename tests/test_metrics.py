@@ -15,6 +15,7 @@ from mgdkit import (
 )
 from mgdkit.direction import TOL_GRAD
 from mgdkit.metrics import _SCAN_CHUNK
+from mgdkit.problems import _point_evaluator
 from oracles import critical_region_scan_oracle, nondominated_mask_oracle
 
 
@@ -213,19 +214,21 @@ class TestGlobalParetoRatio:
 def _two_quadratics():
     a = np.array([1.0, 0.0])
 
-    def evaluator(x):
-        return (
-            np.array([float((x - a) @ (x - a)), float((x + a) @ (x + a))]),
-            np.vstack([2.0 * (x - a), 2.0 * (x + a)]),
-        )
+    def f_batch(X):
+        return np.column_stack([np.vecdot(X - a, X - a), np.vecdot(X + a, X + a)])
+
+    def jac_batch(X):
+        return np.stack([2.0 * (X - a), 2.0 * (X + a)], axis=1)
 
     return Problem(
         name="two-quadratics",
         n=2,
         m=2,
-        evaluator=evaluator,
+        evaluator=_point_evaluator(f_batch, jac_batch),
         domain_box=np.tile([-2.0, 2.0], (2, 1)),
         default_max_iters=1,
+        f_batch=f_batch,
+        jac_batch=jac_batch,
     )
 
 
@@ -274,7 +277,8 @@ class TestCriticalRegionScan:
             critical_region_scan(prob, prob.domain_box, [8, 8], (0, 1), 1e-3)
         # Objective numbers are integers: 1.5 lies between 1 and m but is none.
         viennet = get_problem("viennet")
-        for pair in ((1.5, 3), (1, 2.0), ("1", 3), (1, 2, 3), (1,), ()):
+        # Nor is True, which would pass as objective 1.
+        for pair in ((1.5, 3), (1, 2.0), ("1", 3), (True, 3), (1, 2, 3), (1,), ()):
             with pytest.raises(ValueError, match="pair"):
                 critical_region_scan(viennet, viennet.domain_box, [4, 4], pair, 0.1)
         mask = critical_region_scan(viennet, viennet.domain_box, [4, 4], np.int64([1, 3]), 0.1)
@@ -320,7 +324,7 @@ _SCAN_CASES = {
     "kursawe-symmetric-15": ("kursawe", [[-1.0, 1.0]] * 3, [15, 15, 15], (1, 2), 0.05,
                              TOL_GRAD),
     "fonseca-fleming-9": ("fonseca-fleming", None, [9, 9, 9], (1, 2), 0.05, TOL_GRAD),
-    # No jac_batch: goes through the evaluator fallback.
+    # A problem stated in the test, not among the built-ins.
     "two-quadratics-65": ("two-quadratics", None, [65, 65], (1, 2), 0.05, TOL_GRAD),
     "two-quadratics-tol-grad": ("two-quadratics", [[0.999, 1.001], [-0.001, 0.001]], [3, 3],
                                 (1, 2), 10.0, 1.5e-3),

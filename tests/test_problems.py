@@ -14,6 +14,7 @@ from mgdkit import (
     sample_starts,
     viennet,
 )
+from mgdkit.problems import _point_evaluator
 from oracles import finite_difference_jacobian
 
 
@@ -55,7 +56,7 @@ class TestFonsecaFleming:
         prob = fonseca_fleming(3)
         rng = np.random.Generator(np.random.Philox(21))
         X = rng.uniform(-2.0, 2.0, size=(20, 3))
-        F = prob.eval_f_batch(X)
+        F = prob.f_batch(X)
         for x, f in zip(X, F):
             assert f == pytest.approx(evaluate(prob, x).f, abs=1e-12)
 
@@ -109,7 +110,7 @@ class TestKursawe:
         prob = get_problem("kursawe")
         rng = np.random.Generator(np.random.Philox(22))
         X = rng.uniform(-1.5, 0.5, size=(20, 3))
-        F = prob.eval_f_batch(X)
+        F = prob.f_batch(X)
         for x, f in zip(X, F):
             assert f == pytest.approx(evaluate(prob, x).f, abs=1e-12)
 
@@ -129,7 +130,7 @@ class TestViennet:
         prob = get_problem("viennet")
         x = np.array(x)
         assert evaluate(prob, x).f[1] == pytest.approx(f2, abs=1e-12)
-        assert prob.eval_f_batch(x[None, :])[0, 1] == pytest.approx(f2, abs=1e-12)
+        assert prob.f_batch(x[None, :])[0, 1] == pytest.approx(f2, abs=1e-12)
 
     def test_second_objective_minimizer_has_zero_gradient(self):
         ev = evaluate(get_problem("viennet"), np.array([-2.0, -1.0]))
@@ -154,7 +155,7 @@ class TestViennet:
         prob = get_problem("viennet")
         rng = np.random.Generator(np.random.Philox(23))
         X = rng.uniform(-3.0, 1.5, size=(20, 2))
-        F = prob.eval_f_batch(X)
+        F = prob.f_batch(X)
         for x, f in zip(X, F):
             assert f == pytest.approx(evaluate(prob, x).f, abs=1e-12)
 
@@ -183,7 +184,7 @@ class TestJacobiansAgainstDifferences:
     def test_values_finite_on_box(self, name):
         prob = get_problem(name)
         starts = sample_starts(StartSampler(prob.domain_box, 200, 32))
-        F = prob.eval_f_batch(starts)
+        F = prob.f_batch(starts)
         assert np.all(np.isfinite(F))
 
 
@@ -226,6 +227,7 @@ class TestBatchedJacobian:
         expected = np.array([prob.evaluator(x)[1] for x in X])
         assert J.shape == expected.shape == (len(X), prob.m, prob.n)
         assert J.tobytes() == expected.tobytes()
+        assert prob.jac_batch(np.zeros((0, prob.n))).shape == (0, prob.m, prob.n)
 
     @pytest.mark.parametrize("prob", [fonseca_fleming(1), fonseca_fleming(3),
                                       fonseca_fleming(5), kursawe(), viennet()],
@@ -236,49 +238,39 @@ class TestBatchedJacobian:
         expected = np.array([prob.evaluator(x)[0] for x in X])
         assert F.shape == expected.shape == (len(X), prob.m)
         assert F.tobytes() == expected.tobytes()
-
-    def test_evaluator_only_problem_falls_back(self):
-        a = np.array([[2.0, -3.0], [1.0, 0.5], [0.0, 4.0]])
-        prob = Problem(
-            name="linear",
-            n=2,
-            m=3,
-            evaluator=lambda x: (a @ x, a),
-            domain_box=np.tile([-1.0, 1.0], (2, 1)),
-            default_max_iters=1,
-        )
-        X = np.arange(10.0).reshape(5, 2)
-        J = prob.eval_jac_batch(X)
-        assert J.shape == (5, 3, 2)
-        assert np.array_equal(J, np.broadcast_to(a, (5, 3, 2)))
-        assert prob.eval_jac_batch(np.zeros((0, 2))).shape == (0, 3, 2)
-        assert np.array_equal(prob.eval_f_batch(X), X @ a.T)
-        assert prob.eval_f_batch(np.zeros((0, 2))).shape == (0, 3)
+        assert prob.f_batch(np.zeros((0, prob.n))).shape == (0, prob.m)
 
 
 class TestFiniteDifferenceOracle:
     def test_exact_on_linear(self):
         a = np.array([[2.0, -3.0]])
-
+        f_batch = lambda X: X @ a.T
+        jac_batch = lambda X: np.broadcast_to(a, (len(X), 1, 2))
         prob = Problem(
             name="linear",
             n=2,
             m=1,
-            evaluator=lambda x: (a @ x, a),
+            evaluator=_point_evaluator(f_batch, jac_batch),
             domain_box=np.tile([-1.0, 1.0], (2, 1)),
             default_max_iters=1,
+            f_batch=f_batch,
+            jac_batch=jac_batch,
         )
         fd = finite_difference_jacobian(prob, np.array([0.3, 0.4]), 1e-4)
         assert fd == pytest.approx(a, abs=1e-10)
 
     def test_exact_on_quadratic(self):
+        f_batch = lambda X: X**2
+        jac_batch = lambda X: 2.0 * X[:, None, :]
         prob = Problem(
             name="quad",
             n=1,
             m=1,
-            evaluator=lambda x: (x**2, 2.0 * x[None, :]),
+            evaluator=_point_evaluator(f_batch, jac_batch),
             domain_box=np.array([[-2.0, 2.0]]),
             default_max_iters=1,
+            f_batch=f_batch,
+            jac_batch=jac_batch,
         )
         for h in (1e-2, 1e-4):
             fd = finite_difference_jacobian(prob, np.array([1.0]), h)
