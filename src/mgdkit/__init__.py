@@ -21,7 +21,6 @@ from .descent import (
     TraceRecord,
     backtrack,
     run_mgd,
-    run_mgd_batch,
 )
 from .direction import (
     CriticalityCase,
@@ -98,7 +97,6 @@ __all__ = [
     "nondominated_mask",
     "run_experiment",
     "run_mgd",
-    "run_mgd_batch",
     "sample_starts",
     "solve_blockwise",
     "solve_direction",

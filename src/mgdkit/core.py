@@ -17,10 +17,10 @@ class EvaluationError(RuntimeError):
         self.objective_index = objective_index
 
 
-def _check_integer(name: str, value, low: Optional[int] = None) -> None:
-    """Raise a ValueError unless ``value`` is an integer (one that
-    ``operator.index`` takes, numpy's too, but not a bool) of at least
-    ``low``, if given."""
+def _check_integer(name: str, value, low: Optional[int] = None) -> int:
+    """``operator.index(value)``; a ValueError unless ``value`` is an
+    integer (one that ``operator.index`` takes, numpy's too, but not a
+    bool) of at least ``low``, if given."""
     try:
         if isinstance(value, bool):  # operator.index(True) is 1
             raise TypeError
@@ -29,6 +29,7 @@ def _check_integer(name: str, value, low: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be an integer") from None
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ class BacktrackParams:
     variant: BacktrackVariant = BacktrackVariant.BT_NEW
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", BacktrackVariant(self.variant))
         if not 0 < self.c1 < 1:
             raise ValueError("c1 must lie in (0, 1)")
         if not 0 < self.alpha < 1:
@@ -227,40 +228,19 @@ def _rows(keep: np.ndarray, *arrays):
     return [a[idx] for a in arrays]
 
 
-def run_mgd_batch(
-    problem: Problem,
-    X0: np.ndarray,
-    params: BacktrackParams,
-    dir_cfg: DirectionConfig,
-    K: Optional[int] = None,
-    record_trace: bool = True,
-) -> list[RunResult | Exception]:
-    """Run one multiple-gradient descent sequence from each row of ``X0``,
-    all with the direction LP of ``dir_cfg``: the one-variant case of
-    :func:`_lockstep`.
-
-    Returns one entry per start: its :class:`RunResult`, or the exception
-    that ended it, with the message prefixed by the iteration
-    ("iteration k: ...").
-    """
-    lp_new = np.full(len(X0), dir_cfg.variant is DirectionVariant.LP_NEW)
-    outcomes = _lockstep(problem, X0, lp_new, params, dir_cfg.epsilon, K, record_trace)
-    return outcomes[params.variant]
-
-
 def _lockstep(
     problem: Problem,
     X0: np.ndarray,
     lp_new: np.ndarray,
     params: BacktrackParams,
     epsilon: float,
+    backtrackings: tuple,
     K: Optional[int] = None,
     record_trace: bool = True,
-    cut: bool = False,
 ) -> dict:
     """Run one multiple-gradient descent sequence from each row of ``X0``,
-    with lp-new's direction LP where ``lp_new`` holds, else lp-base's, and
-    the backtracking of ``params``.
+    with lp-new's direction LP where ``lp_new`` holds, else lp-base's, the
+    step settings of ``params`` and each backtracking of ``backtrackings``.
 
     All live runs advance together: each iteration makes one batched
     objective and one batched Jacobian call for the new iterates, one
@@ -280,29 +260,29 @@ def _lockstep(
 
     bt-base differs from bt-new only from a run's first iteration k whose
     ladder finds no Armijo step: there bt-base stops, and bt-new takes the
-    fallback step.  With ``cut``, for bt-new ``params``, each run therefore
-    also ends its bt-base twin there: at its point and objectives at k,
-    with its trace up to k and a zero step at k, ``dominated-step`` after
-    k iterations and no stored points.  A run that ends before any such k
-    ends its twin the same way, without stored points.
+    fallback step.  So every bt-base result is read off its run's first
+    ladder failure, its cut: the point and objectives at k, the trace up
+    to k and a zero step at k, ``dominated-step`` after k iterations and no
+    stored points.  Without bt-new the run leaves the batch at its cut.  A
+    run that ends or fails before any cut gives bt-base its own outcome,
+    without stored points.
 
-    Returns {params.variant: outcomes}, and with ``cut`` also {BT_BASE:
-    the twins' outcomes}: one entry per start, its :class:`RunResult` or
-    the exception that ended it, its message prefixed by the iteration
-    ("iteration k: ...").
+    Returns {backtracking: outcomes} for each of ``backtrackings``: one
+    entry per start, its :class:`RunResult` or the exception that ended
+    it, its message prefixed by the iteration ("iteration k: ...").
     """
     if K is None:
         K = problem.default_max_iters
     _check_integer("K", K, 1)
-    bt_new = params.variant is BacktrackVariant.BT_NEW
+    bt_new = BacktrackVariant.BT_NEW in backtrackings
     X0 = np.array(X0, dtype=float)  # a copy: runs that end at their start keep its rows
     # Run j's exception, or its (x_hat, f_hat, termination, iterations)
-    # until its RunResult is built after the loop.
+    # until its RunResult is built after the loop; None if it left at its cut.
     out: list = [None] * len(X0)
     # Blocks of (runs, X, F) of the stored points and of
     # (runs, k, X, F, P, beta, eta, satisfied, cases) of the traced rows.
     stored_log, trace_log = [], []
-    cuts, uncut = {}, np.ones(len(X0), dtype=bool)  # {run: its twin's last TraceRecord}
+    cuts, uncut = {}, np.ones(len(X0), dtype=bool)  # {run: its cut's TraceRecord}
 
     def log_trace(k, runs, X, F, P, beta, cases, eta, satisfied):
         if record_trace:
@@ -361,20 +341,19 @@ def _lockstep(
             if not live.size:
                 break
 
-        # The ladder: under bt-base a run without an Armijo step stops;
-        # under cut its first such step ends its twin.
+        # The ladder: a run's first step without an Armijo step is its cut,
+        # where the run leaves the batch when bt-new is not asked for.
         eta, sat, errors = _ladder_rows(problem, X, F, J, P, params)
         keep = fail(k, errors)
-        if not bt_new:
-            keep = stop(k, keep, ~sat, False, Termination.DOMINATED_STEP)
-        elif cut:
-            first = ~sat & uncut[live]
-            if keep is not None:
-                first &= keep
-            for i in np.flatnonzero(first).tolist():
-                j = int(live[i])
-                uncut[j] = False
-                cuts[j] = TraceRecord(k, X[i], F[i], P[i], float(beta[i]), 0.0, False, cases[i])
+        first = ~sat & uncut[live]
+        if keep is not None:
+            first &= keep
+        for i in np.flatnonzero(first).tolist():
+            j = int(live[i])
+            uncut[j] = False
+            cuts[j] = TraceRecord(k, X[i], F[i], P[i], float(beta[i]), 0.0, False, cases[i])
+        if not bt_new and np.count_nonzero(first):
+            keep = ~first if keep is None else keep & ~first
         if keep is not None:
             live, X, F, P, beta, cases, eta, sat = _rows(keep, live, X, F, P, beta, cases, eta, sat)
             if not live.size:
@@ -418,7 +397,7 @@ def _lockstep(
     # pickles it once.
     nothing = np.empty((0, problem.n)), np.empty((0, problem.m))
     for j, run in enumerate(out):
-        if isinstance(run, Exception):
+        if not isinstance(run, tuple):  # failed, or left at its cut
             continue
         x_hat, f_hat, termination, iterations = run
         stored_x, stored_f = nothing
@@ -431,19 +410,18 @@ def _lockstep(
             stored_x, stored_f = SX[keep], SF[keep]
         trace = [records[i] for i in trace_rows[j].tolist()]
         out[j] = RunResult(trace, x_hat, f_hat, stored_x, stored_f, termination, iterations)
-    if not cut:
-        return {params.variant: out}
-    # The twins: a run's own outcome without stored points, or its cut.
-    twins = [
-        run if isinstance(run, Exception) or run.stored_x is nothing[0]
+    # bt-base: a run's cut, else its own outcome without stored points.
+    base = [
+        run if not isinstance(run, RunResult) or run.stored_x is nothing[0]
         else RunResult(run.trace, run.x_hat, run.f_hat, *nothing, run.termination, run.iterations)
         for run in out
     ]
     for j, last in cuts.items():
         trace = [records[i] for i in trace_rows[j][: last.k].tolist()] + [last]
-        twins[j] = RunResult(trace if record_trace else [], last.x, last.f, *nothing,
-                             Termination.DOMINATED_STEP, last.k)
-    return {params.variant: out, BacktrackVariant.BT_BASE: twins}
+        base[j] = RunResult(trace if record_trace else [], last.x, last.f, *nothing,
+                            Termination.DOMINATED_STEP, last.k)
+    outcomes = {BacktrackVariant.BT_BASE: base, BacktrackVariant.BT_NEW: out}
+    return {b: outcomes[b] for b in backtrackings}
 
 
 def _by_run(log: list, n_runs: int) -> tuple[list, list]:
@@ -468,9 +446,12 @@ def run_mgd(
     record_trace: bool = True,
 ) -> RunResult:
     """Run one multiple-gradient descent sequence from ``x0``: the
-    one-start case of :func:`run_mgd_batch`, raising the exception that
-    ends the run."""
-    (result,) = run_mgd_batch(problem, [x0], params, dir_cfg, K, record_trace)
+    one-start, one-variant case of :func:`_lockstep`, raising the
+    exception that ends the run."""
+    lp_new = np.full(1, dir_cfg.variant is DirectionVariant.LP_NEW)
+    outcomes = _lockstep(problem, [x0], lp_new, params, dir_cfg.epsilon, (params.variant,),
+                         K, record_trace)
+    (result,) = outcomes[params.variant]
     if isinstance(result, Exception):
         raise result
     return result

@@ -56,6 +56,7 @@ class DirectionConfig:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", DirectionVariant(self.variant))
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError("epsilon must be positive and finite")
 
@@ -181,13 +182,12 @@ def _cone_minima(C: np.ndarray, G: np.ndarray, box: np.ndarray):
 
 def _solve_batch(
     J: np.ndarray,
-    variant=DirectionVariant.LP_NEW,
+    new: np.ndarray,
     epsilon: float = 1.0,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, dict], Optional[tuple]]:
     """The direction step of one descent iteration: the direction LP of
-    each Jacobian of ``J`` (W, m, n), solved and classified.  ``variant``
-    is the DirectionVariant of every row, or a (W,) bool array that marks
-    the lp-new rows, the others being lp-base.
+    each Jacobian of ``J`` (W, m, n), solved and classified.  ``new`` (W,)
+    marks the rows that take lp-new's LP, the others take lp-base's.
 
     Returns ((P (W, n), beta (W,), cases (W,), errors), lps): row w holds
     the p*, beta* and CriticalityCase of J[w], unless errors maps w to the
@@ -212,10 +212,6 @@ def _solve_batch(
     """
     J = np.asarray(J, dtype=float)
     W, m, n = J.shape
-    if isinstance(variant, DirectionVariant):
-        new = np.full(W, variant is DirectionVariant.LP_NEW)
-    else:
-        new = np.asarray(variant, dtype=bool)
     P, beta, cases, errors = np.zeros((W, n)), np.zeros(W), np.empty(W, dtype=object), {}
     if m == 0 or n == 0:
         errors = {w: ValueError(f"a Jacobian of shape {(m, n)} has no entries") for w in range(W)}
@@ -283,8 +279,10 @@ def solve_direction(
     """Solve the chosen direction LP for one Jacobian (m, n) and classify
     the outcome: the one-row case of :func:`_solve_batch`, whose error it
     raises."""
+    variant = DirectionVariant(variant)
     J = np.asarray(jac, dtype=float)[None]
-    ((p,), (beta,), (case,), errors), lps = _solve_batch(J, variant, epsilon)
+    new = np.full(1, variant is DirectionVariant.LP_NEW)
+    ((p,), (beta,), (case,), errors), lps = _solve_batch(J, new, epsilon)
     if errors:
         raise errors[0]
     keep, gamma, c_beta = lps

@@ -61,6 +61,8 @@ class ExperimentConfig:
             _check_integer("max_iters", self.max_iters, 1)
         if self.trace_format not in ("csv", "json"):
             raise ValueError("trace_format must be 'csv' or 'json'")
+        object.__setattr__(self, "directions", tuple(map(DirectionVariant, self.directions)))
+        object.__setattr__(self, "backtrackings", tuple(map(BacktrackVariant, self.backtrackings)))
         if not self.directions or not self.backtrackings:
             raise ValueError("need at least one direction and backtracking variant")
         for variants in (self.directions, self.backtrackings):
@@ -126,14 +128,11 @@ def _ratio_and_front(results: list, n: int, m: int) -> tuple[float, np.ndarray, 
 def _run_chunk(args):
     """The runs of some of an experiment's rows, ``X0`` with lp-new where
     ``lp_new`` holds, in one lockstep: {backtracking: per row its RunResult
-    or exception} for the backtrackings of ``config``, bt-base read off
-    bt-new when both are asked for."""
+    or exception} for the backtrackings of ``config``."""
     config, X0, lp_new, record_trace = args
-    bt_new = BacktrackVariant.BT_NEW in config.backtrackings
-    params = config.backtrack_params(BacktrackVariant.BT_NEW if bt_new else BacktrackVariant.BT_BASE)
-    cut = bt_new and BacktrackVariant.BT_BASE in config.backtrackings
+    params = config.backtrack_params(config.backtrackings[0])  # _lockstep reads its steps only
     return _lockstep(get_problem(config.problem), X0, lp_new, params, config.epsilon,
-                     config.max_iters, record_trace, cut)
+                     config.backtrackings, config.max_iters, record_trace)
 
 
 def _pooled(jobs: list) -> dict:
@@ -188,10 +187,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every requested variant over one shared list of start points.
 
     The runs of all variants advance in one lockstep, one row per start
-    and direction: under bt-new, each row also ends its bt-base twin at
-    its first ladder failure, where bt-base stops.  A variant's
-    ``wall_time`` is therefore the lockstep's time plus its own ratio and
-    front.  Failed runs contribute no points; the report counts them by
+    and direction: each row's bt-base result is read off its first ladder
+    failure, where bt-base stops and bt-new takes its fallback step.  A
+    variant's ``wall_time`` is therefore the lockstep's time plus its own
+    ratio and front.  Failed runs contribute no points; the report counts them by
     exception type and keeps a message ``run j: <exception>`` for each.
     With an output directory configured, the report, the fronts (and
     traces, if requested) are written there; traces are recorded only

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -165,16 +164,12 @@ def critical_region_scan(
     n = box.shape[0]
     if n != problem.n:
         raise ValueError("box dimension must match the problem")
-    for r in resolution:
-        _check_integer("resolution", r)
-    resolution = [operator.index(r) for r in resolution]
+    resolution = [_check_integer("resolution", r) for r in resolution]
     if len(resolution) != n or any(r < 2 for r in resolution):
         raise ValueError("resolution needs >= 2 cells per axis")
     try:
         i, j = pair
-        for v in (i, j):
-            _check_integer("pair", v)  # True is no objective number
-        i, j = operator.index(i), operator.index(j)
+        i, j = _check_integer("pair", i), _check_integer("pair", j)  # True is no objective number
     except (TypeError, ValueError):
         i = j = 0  # not two objective numbers: rejected below
     if not (1 <= i <= problem.m and 1 <= j <= problem.m) or i == j:

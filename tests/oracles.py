@@ -346,7 +346,8 @@ def run_mgd_oracle(
     record_trace: bool = True,
 ) -> RunResult:
     """One multiple-gradient descent sequence from ``x0``, one iteration at
-    a time through ``evaluate``: the reference for ``run_mgd_batch``."""
+    a time through ``evaluate``: the reference for ``descent._lockstep``
+    and ``run_mgd``."""
     if K is None:
         K = problem.default_max_iters
     if K < 1:

@@ -21,7 +21,6 @@ from mgdkit import (
     evaluate,
     get_problem,
     run_mgd,
-    run_mgd_batch,
     sample_starts,
     solve_direction,
     StartSampler,
@@ -324,7 +323,7 @@ class TestRunMgd:
         # A non-integer budget would fail late, in range().
         for K in (2.5, 2.0):
             with pytest.raises(ValueError, match="K must be an integer"):
-                run_mgd_batch(prob, np.zeros((1, 2)), BacktrackParams(), LP_NEW, K=K)
+                run_mgd(prob, np.zeros(2), BacktrackParams(), LP_NEW, K=K)
         assert run_mgd(prob, np.zeros(2), BacktrackParams(), LP_NEW, K=np.int64(2)).iterations <= 2
 
     def test_failed_run_keeps_error_type_and_attributes(self):
@@ -379,6 +378,15 @@ def assert_same_run(got, expected):
             assert getattr(a, name) == getattr(b, name), name
 
 
+def _lockstep_of(prob, X0, params, cfg, K, record_trace=True):
+    """One lockstep of the rows of X0, all with the variants of ``params``
+    and ``cfg``: one outcome per row."""
+    lp_new = np.full(len(X0), cfg.variant is DirectionVariant.LP_NEW)
+    outcomes = _lockstep(prob, X0, lp_new, params, cfg.epsilon, (params.variant,), K, record_trace)
+    assert list(outcomes) == [params.variant]
+    return outcomes[params.variant]
+
+
 class TestLockstep:
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_matches_one_start_oracle(self, name):
@@ -395,7 +403,7 @@ class TestLockstep:
         seen = set()
         for bt, cfg, record in itertools.product(backtrackings, (LP_BASE, LP_NEW), (True, False)):
             params = BacktrackParams(**bt)
-            runs = run_mgd_batch(prob, starts, params, cfg, K=40, record_trace=record)
+            runs = _lockstep_of(prob, starts, params, cfg, 40, record)
             assert len(runs) == len(starts)
             for x0, run in zip(starts, runs):
                 expected = run_mgd_oracle(prob, x0, params, cfg, K=40, record_trace=record)
@@ -421,7 +429,7 @@ class TestLockstep:
         for bt, cfg in itertools.product(BacktrackVariant, (LP_BASE, LP_NEW)):
             params = BacktrackParams(variant=bt)
             widths.clear()
-            runs = run_mgd_batch(prob, starts, params, cfg, K=12, record_trace=True)
+            runs = _lockstep_of(prob, starts, params, cfg, 12)
             # One direction call per iteration, for the runs live at it: a
             # run has one trace record per iteration it was live.
             live = [sum(len(run.trace) > k for run in runs) for k in range(12)]
@@ -441,7 +449,7 @@ class TestLockstep:
         prob = get_problem("kursawe")
         starts = sample_starts(StartSampler(prob.domain_box, 6, 2))
         params = BacktrackParams(variant=BacktrackVariant.BT_BASE)
-        runs = run_mgd_batch(prob, starts, params, LP_NEW, K=20)
+        runs = _lockstep_of(prob, starts, params, LP_NEW, 20)
         assert len({id(run.stored_x) for run in runs}) == 1
         assert len({id(run.stored_f) for run in runs}) == 1
         assert runs[0].stored_x.shape == (0, prob.n)
@@ -449,7 +457,7 @@ class TestLockstep:
 
     def test_no_starts(self):
         prob = get_problem("kursawe")
-        assert run_mgd_batch(prob, np.zeros((0, 3)), BacktrackParams(), LP_NEW, K=5) == []
+        assert _lockstep_of(prob, np.zeros((0, 3)), BacktrackParams(), LP_NEW, 5) == []
 
 
 def assert_same_outcome(got, expected):
@@ -462,26 +470,27 @@ def assert_same_outcome(got, expected):
 
 def _twins(prob, starts, K, record=True):
     """One lockstep of each start under lp-base and lp-new (rows direction
-    by direction): its bt-new outcomes with the bt-base twins read off
-    them, the bt-new-only outcomes and the bt-base-only outcomes."""
+    by direction) with both backtrackings, the bt-new-only outcomes and
+    the bt-base-only outcomes, in which each run leaves at its cut."""
     X0 = np.tile(starts, (2, 1))
     lp_new = np.repeat([False, True], len(starts))
-    new, base = (BacktrackParams(variant=v)
-                 for v in (BacktrackVariant.BT_NEW, BacktrackVariant.BT_BASE))
-    both = _lockstep(prob, X0, lp_new, new, 1.0, K, record, cut=True)
-    new_alone = _lockstep(prob, X0, lp_new, new, 1.0, K, record)
-    base_alone = _lockstep(prob, X0, lp_new, base, 1.0, K, record)
-    assert list(new_alone) == [BacktrackVariant.BT_NEW]
-    assert list(base_alone) == [BacktrackVariant.BT_BASE]
-    return both, new_alone[BacktrackVariant.BT_NEW], base_alone[BacktrackVariant.BT_BASE]
+    params = BacktrackParams()
+    both = _lockstep(prob, X0, lp_new, params, 1.0, tuple(BacktrackVariant), K, record)
+    assert list(both) == list(BacktrackVariant)
+    new_alone, base_alone = (
+        _lockstep(prob, X0, lp_new, params, 1.0, (v,), K, record)[v]
+        for v in (BacktrackVariant.BT_NEW, BacktrackVariant.BT_BASE)
+    )
+    return both, new_alone, base_alone
 
 
 class TestBtBaseTwins:
     def test_twins_equal_bt_base_runs(self):
-        # Every bt-base result read off a bt-new row equals that start's
-        # bt-base-only run, and the bt-new results equal the bt-new-only
-        # runs, on every problem, traced or not.  The twins cover ladder
-        # failures at k = 0 and later, and runs that end on a zero
+        # Every bt-base result of a lockstep with both backtrackings, whose
+        # rows run on past their cuts, equals that start's bt-base-only run,
+        # whose rows leave at them, and the bt-new results equal the
+        # bt-new-only runs, on every problem, traced or not.  The twins
+        # cover ladder failures at k = 0 and later, and runs that end on a zero
         # direction or at the budget before any ladder failure, some of
         # whose bt-new runs store points that their twins do not: on the
         # opposed-linear problem each step keeps both objectives, so its

@@ -46,6 +46,11 @@ def random_jacobians(rng, width, m, n, log10_scale):
     return J
 
 
+def _solve_all(J, variant):
+    """_solve_batch of J with every row of ``variant``."""
+    return _solve_batch(J, np.full(len(J), variant is DirectionVariant.LP_NEW))
+
+
 def _outcome(solve, jac, variant):
     try:
         return solve(jac, variant)
@@ -85,7 +90,7 @@ def assert_same_result(result, expected):
 def check_batch(J, variant, rows=None):
     """Every row of the batch against the oracle, and solve_direction
     against it on ``rows`` (default: all); the failures seen."""
-    solved, _ = _solve_batch(J, variant)
+    solved, _ = _solve_all(J, variant)
     P, beta, cases, errors = solved
     assert P.shape == (len(J), J.shape[2]) and beta.shape == cases.shape == (len(J),)
     failures = []
@@ -139,7 +144,7 @@ class TestBatchedEqualsScalar:
         expected = solve_direction_oracle(jac, DirectionVariant.LP_NEW)
         assert expected.gamma == 1.0
         assert_same_result(solve_direction(jac, DirectionVariant.LP_NEW), expected)
-        solved, _ = _solve_batch(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW)
+        solved, _ = _solve_all(np.stack([jac] * _BATCH_MIN_WIDTH), DirectionVariant.LP_NEW)
         for w in range(_BATCH_MIN_WIDTH):
             assert_same(solved, w, expected)
 
@@ -152,7 +157,7 @@ class TestBatchedEqualsScalar:
         J[2] = [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]
         J[3] = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         for variant in DirectionVariant:
-            solved, _ = _solve_batch(J, variant)
+            solved, _ = _solve_all(J, variant)
             errors = solved[3]
             assert list(errors) == [2] and type(errors[2]) is ValueError
             for w, jac in enumerate(J):
@@ -178,7 +183,7 @@ class TestBatchedEqualsScalar:
         with pytest.raises(ValueError, match="Jacobian"):
             solve_direction(jac, variant)
         J = np.stack([jac, np.full_like(jac, 2.0), jac])
-        (P, beta, cases, errors), _ = _solve_batch(J, variant)
+        (P, beta, cases, errors), _ = _solve_all(J, variant)
         assert sorted(errors) == ([0, 1, 2] if jac.size == 0 else [0, 2])
         assert all(type(exc) is ValueError for exc in errors.values())
         if jac.size:
@@ -294,7 +299,7 @@ class TestClassificationOnArrays:
             return Y, failures
 
         monkeypatch.setattr(direction_mod, "_simplex", inject)
-        (P, beta, cases, errors), _ = _solve_batch(J, DirectionVariant.LP_BASE)
+        (P, beta, cases, errors), _ = _solve_all(J, DirectionVariant.LP_BASE)
         assert not np.abs(P).max() > direction_mod.TOL_ZERO_DIR
         for w, case in enumerate(expected):
             if isinstance(case, str):
@@ -348,18 +353,7 @@ class TestMixedVariants:
             for variant, rows in ((DirectionVariant.LP_NEW, np.flatnonzero(new)),
                                   (DirectionVariant.LP_BASE, np.flatnonzero(~new))):
                 if rows.size:
-                    alone, _ = _solve_batch(J[rows], variant)
+                    alone, _ = _solve_all(J[rows], variant)
                     for i, w in enumerate(rows.tolist()):
                         assert_same_row(mixed, w, alone, i)
         assert three_calls > 20
-
-    def test_mask_of_one_kind_equals_the_variant(self):
-        # An all-True or all-False mask is the lp-new or lp-base call.
-        J = random_jacobians(np.random.default_rng(3), 24, 3, 2, 0.0)
-        J[::4] = ZERO_ONLY_JAC
-        for variant in DirectionVariant:
-            mask = np.full(len(J), variant is DirectionVariant.LP_NEW)
-            by_mask, _ = _solve_batch(J, mask)
-            by_variant, _ = _solve_batch(J, variant)
-            for w in range(len(J)):
-                assert_same_row(by_mask, w, by_variant, w)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgdkit import (
+    PROBLEMS,
     BacktrackParams,
     BacktrackVariant,
     DirectionConfig,
@@ -24,8 +25,9 @@ from mgdkit import (
     critical_region_scan,
     get_problem,
     run_experiment,
-    run_mgd_batch,
+    run_mgd,
     sample_starts,
+    solve_direction,
 )
 import mgdkit.cli as cli_mod
 import mgdkit.harness as harness_mod
@@ -212,8 +214,8 @@ class TestConfig:
             "seed": lambda v: _small_config(seed=v),
             "workers": lambda v: _small_config(workers=v),
             "max_iters": lambda v: _small_config(max_iters=v),
-            "K": lambda v: run_mgd_batch(prob, np.zeros((1, 2)), BacktrackParams(),
-                                         DirectionConfig(DirectionVariant.LP_NEW), K=v),
+            "K": lambda v: run_mgd(prob, np.zeros(2), BacktrackParams(),
+                                   DirectionConfig(DirectionVariant.LP_NEW), K=v),
             "theta": lambda v: BacktrackParams(theta=v),
             "count": lambda v: StartSampler(prob.domain_box, v, 0),
             "n": lambda v: dataclasses.replace(prob, n=v),
@@ -237,6 +239,61 @@ class TestConfig:
             variant_label(DirectionVariant.LP_NEW, BacktrackVariant.BT_NEW)
             == "bt-new_lp-new"
         )
+
+
+class TestVariantValues:
+    """A variant given by its string value is that variant, and an unknown
+    value is a ValueError, in every object that takes a variant."""
+
+    JAC = np.array([[3.0, 0.5], [0.2, 2.0]])
+
+    def test_solve_direction(self):
+        base = solve_direction(self.JAC, "lp-base")
+        assert base.c_beta is None and base.gamma == 1.0
+        new = solve_direction(self.JAC, "lp-new")
+        assert new.gamma == 3.2 and new.p_star.tolist() == [-3.2, -3.2]
+        for result, variant in ((base, DirectionVariant.LP_BASE), (new, DirectionVariant.LP_NEW)):
+            expected = solve_direction(self.JAC, variant)
+            assert result.p_star.tobytes() == expected.p_star.tobytes()
+            assert (result.beta_star, result.case, result.gamma, result.c_beta) == (
+                expected.beta_star, expected.case, expected.gamma, expected.c_beta)
+        with pytest.raises(ValueError):
+            solve_direction(self.JAC, "lp-none")
+
+    def test_run_settings(self):
+        prob = get_problem("kursawe")
+        x0 = sample_starts(StartSampler(prob.domain_box, 1, 4))[0]
+        for direction, backtracking in [(d, b) for d in DirectionVariant for b in BacktrackVariant]:
+            dir_cfg = DirectionConfig(variant=direction.value)
+            params = BacktrackParams(variant=backtracking.value)
+            assert dir_cfg.variant is direction and params.variant is backtracking
+            assert_same_run(run_mgd(prob, x0, params, dir_cfg, K=40),
+                            run_mgd(prob, x0, BacktrackParams(variant=backtracking),
+                                    DirectionConfig(variant=direction), K=40))
+        with pytest.raises(ValueError):
+            DirectionConfig(variant="lp-none")
+        with pytest.raises(ValueError):
+            BacktrackParams(variant="bt-none")
+
+    def test_experiment_config(self):
+        kw = dict(problem="kursawe", n_starts=6, seed=4, max_iters=40, workers=0)
+        for direction, backtracking in [(d, b) for d in DirectionVariant for b in BacktrackVariant]:
+            config = ExperimentConfig(directions=(direction.value,),
+                                      backtrackings=(backtracking.value,), **kw)
+            assert config.directions == (direction,)
+            assert config.backtrackings == (backtracking,)
+            (got,) = run_experiment(config).variants
+            (expected,) = run_experiment(ExperimentConfig(
+                directions=(direction,), backtrackings=(backtracking,), **kw)).variants
+            assert got.failures == 0
+            assert (got.direction, got.backtracking) == (direction, backtracking)
+            assert dataclasses.replace(got, wall_time=0.0) == dataclasses.replace(
+                expected, wall_time=0.0)
+        with pytest.raises(ValueError, match="repeated"):
+            ExperimentConfig(directions=("lp-new", DirectionVariant.LP_NEW), **kw)
+        for field in ("directions", "backtrackings"):
+            with pytest.raises(ValueError, match="is not a valid"):
+                ExperimentConfig(**{field: ("none",)}, **kw)
 
 
 class TestRunExperiment:
@@ -868,6 +925,31 @@ class TestArgFile:
 
 
 class TestCli:
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_one_backtracking_writes_its_files_of_both(self, tmp_path, capsys, problem):
+        # A run with one backtracking, serial or in a 2-worker pool, writes
+        # the front and trace files that a serial run with both writes for
+        # it, byte for byte; every bt-base run is read off its first ladder
+        # failure, and some of them end there.
+        def outputs(name, *flags):
+            out = tmp_path / name
+            assert main(["run", "--problem", problem, "--n-starts", "6", "--max-iters", "40",
+                         "--seed", "42", "--traces", "--out", str(out), *flags]) == EXIT_OK
+            files = {p.name: p.read_bytes()
+                     for p in sorted([*out.glob("front_*"), *out.glob("trace_*")])}
+            return files, json.loads((out / "report.json").read_text())
+
+        both, _ = outputs("both", "--workers", "0")
+        for workers in ("0", "2"):
+            for b in BacktrackVariant:
+                alone, report = outputs(f"{b.value}-{workers}", "--backtracking", b.value,
+                                        "--workers", workers)
+                assert sorted({name.split("_")[0] for name in alone}) == ["front", "trace"]
+                assert alone == {n: data for n, data in both.items() if f"_{b.value}_" in n}
+                if b is BacktrackVariant.BT_BASE:
+                    assert any(v["termination_counts"]["dominated-step"]
+                               for v in report["variants"])
+
     def test_run_smoke(self, capsys):
         code = main(
             [
